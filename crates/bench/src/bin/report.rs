@@ -1,4 +1,4 @@
-//! Regenerate every experiment table from EXPERIMENTS.md.
+//! Regenerate every experiment table.
 //!
 //! Usage: `cargo run --release -p hydro-bench --bin report \
 //!     [--json] [--bench-json[=PATH]] [e01 e07 ...]`
@@ -6,7 +6,7 @@
 //! Tables stream as each experiment finishes, with wall-clock time per
 //! experiment. Passing experiment ids (e.g. `e04 e09`) runs only those.
 //! With `--json`, a machine-readable dump follows the tables so
-//! EXPERIMENTS.md numbers can be traced to a concrete run. With
+//! quoted numbers can be traced to a concrete run. With
 //! `--bench-json[=PATH]`, the E1/E8 interpreter sweeps are re-run as
 //! structured records and written to PATH (default `BENCH_interp.json`)
 //! as `[{workload, n, wall_ms, items_processed}, ...]` — the perf

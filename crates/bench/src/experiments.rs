@@ -1,4 +1,4 @@
-//! The twelve experiments of EXPERIMENTS.md, as callable workloads.
+//! The reproduction's experiments, as callable workloads.
 //!
 //! Each `eNN_*` function runs one experiment's sweep and returns rows of
 //! `(label, columns…)` for the report binary to print. Workloads are
@@ -2141,7 +2141,7 @@ pub fn e14_adaptive() -> Table {
     }
 }
 
-/// Name → runner for every experiment, in EXPERIMENTS.md order.
+/// Name → runner for every experiment, in id order.
 ///
 /// The report binary iterates this so tables stream as they finish and
 /// individual experiments can be re-run by id.

@@ -1,7 +1,7 @@
 //! # hydro-bench
 //!
-//! Experiment harness for the reproduction: every experiment in
-//! EXPERIMENTS.md (E1–E14) has a function here that runs its workload and
+//! Experiment harness for the reproduction: every experiment `eNN`
+//! (described in its function's docs and in `CHANGES.md`) has a function here that runs its workload and
 //! returns printable rows. The `report` binary runs them all and prints
 //! the tables; `benches/experiments.rs` wraps the timing-sensitive ones in
 //! Criterion.

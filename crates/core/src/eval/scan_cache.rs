@@ -1,0 +1,238 @@
+//! [`ScanCache`]: lazily built composite equality indexes over relations,
+//! the access path behind every bound scan.
+
+use super::relation::{Relation, Row};
+use super::slots::{Frame, ProbeLayout, ProbeSrc};
+#[cfg(doc)]
+use super::{evaluate_views, EvalState};
+use crate::value::Value;
+use rustc_hash::FxHashMap;
+
+/// Hash a probe key given as a value iterator. Owned and borrowed probe
+/// paths must agree on this function — it is the bridge that lets the
+/// compiled scan path look up `Vec<Value>`-built indexes with *borrowed*
+/// frame slots, never cloning a key value on the probe hot path.
+fn hash_probe_key<'v>(vals: impl Iterator<Item = &'v Value>) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = rustc_hash::FxHasher::default();
+    for v in vals {
+        v.hash(&mut h);
+    }
+    h.finish()
+}
+
+/// One `(relation, bound columns)` index: probe-key hash → entries holding
+/// the owned key (for collision resolution) and the posting list of row
+/// positions. Keying by hash instead of `Vec<Value>` is what allows
+/// lookups from borrowed values.
+type Postings = FxHashMap<u64, Vec<(Vec<Value>, std::rc::Rc<Vec<usize>>)>>;
+
+/// Lazily-built composite equality indexes over relations, keyed by
+/// `(relation, bound column set)`: probe key → row positions per key
+/// shape, built on the first probe of that shape.
+///
+/// A cache stays valid as long as every mutation of an indexed relation is
+/// reported: appends via [`ScanCache::note_insert`], removals via
+/// [`ScanCache::note_remove`], wholesale resets via
+/// [`ScanCache::invalidate`]. Within a tick, [`evaluate_views`] reports
+/// every append; across ticks, [`EvalState`] reports removals too, so the
+/// same indexes survive from one tick to the next instead of being rebuilt.
+/// Everything else uses a context whose lifetime is bounded by an immutable
+/// borrow of the database, under which the cache trivially cannot go stale.
+#[derive(Default)]
+pub struct ScanCache {
+    /// relation → sorted bound-column set → probe index. Posting lists sit
+    /// behind `Rc` so a probe shares the list instead of copying it;
+    /// `note_insert` runs between evaluation rounds, when no probe handle
+    /// is alive, so `Rc::make_mut` appends in place.
+    indexes: FxHashMap<String, FxHashMap<Vec<usize>, Postings>>,
+    /// Reusable probe-key scratch (bound columns / key values), filled by
+    /// the caller just before [`ScanCache::probe_prepared`]. Only the
+    /// map-based reference evaluator takes this owned-value path; the
+    /// compiled path probes borrowed frame slots via
+    /// [`ScanCache::probe_layout`].
+    probe_cols: Vec<usize>,
+    probe_key: Vec<Value>,
+}
+
+/// Find the posting list for a probe key among `postings`, comparing the
+/// borrowed key values against each hash-colliding entry's owned key.
+/// Generic over a cloneable borrowed-value iterator so the comparison
+/// allocates nothing (buckets almost always hold one candidate).
+fn postings_find<'v, I>(postings: &Postings, hash: u64, key: I) -> Option<std::rc::Rc<Vec<usize>>>
+where
+    I: Iterator<Item = &'v Value> + Clone,
+{
+    postings
+        .get(&hash)?
+        .iter()
+        .find(|(k, _)| k.iter().eq(key.clone()))
+        .map(|(_, list)| std::rc::Rc::clone(list))
+}
+
+/// Build the probe index of one `(relation, cols)` shape.
+fn postings_build(relation: &Relation, cols: &[usize]) -> Postings {
+    let mut postings = Postings::default();
+    for (i, row) in relation.iter_indexed() {
+        let hash = hash_probe_key(cols.iter().map(|&c| &row[c]));
+        let bucket = postings.entry(hash).or_default();
+        match bucket
+            .iter_mut()
+            .find(|(k, _)| k.iter().eq(cols.iter().map(|&c| &row[c])))
+        {
+            Some((_, list)) => std::rc::Rc::make_mut(list).push(i),
+            None => bucket.push((
+                cols.iter().map(|&c| row[c].clone()).collect(),
+                std::rc::Rc::new(vec![i]),
+            )),
+        }
+    }
+    postings
+}
+
+impl ScanCache {
+    /// Clear and hand out the probe scratch buffers; the caller fills them
+    /// with the bound columns and key values, then calls
+    /// [`ScanCache::probe_prepared`]. (Map-reference evaluator only.)
+    pub(super) fn begin_probe(&mut self) -> (&mut Vec<usize>, &mut Vec<Value>) {
+        self.probe_cols.clear();
+        self.probe_key.clear();
+        (&mut self.probe_cols, &mut self.probe_key)
+    }
+
+    /// Row positions of `relation` whose `probe_cols` equal `probe_key`
+    /// (as filled via [`ScanCache::begin_probe`]), building the
+    /// `(rel, cols)` index on first use. Positions are in insertion
+    /// order, so index-driven scans enumerate rows exactly like full scans.
+    pub(super) fn probe_prepared(&mut self, rel: &str, relation: &Relation) -> Option<std::rc::Rc<Vec<usize>>> {
+        let hash = hash_probe_key(self.probe_key.iter());
+        // Steady state first: no key allocation on the fixpoint hot path.
+        if let Some(postings) = self.indexes.get(rel).and_then(|m| m.get(&self.probe_cols)) {
+            return postings_find(postings, hash, self.probe_key.iter());
+        }
+        let postings = postings_build(relation, &self.probe_cols);
+        let hits = postings_find(&postings, hash, self.probe_key.iter());
+        self.indexes
+            .entry(rel.to_string())
+            .or_default()
+            .insert(self.probe_cols.clone(), postings);
+        hits
+    }
+
+    /// The compiled-path probe: row positions of `relation` matching a
+    /// scan's static [`ProbeLayout`], with every key value *borrowed* —
+    /// constants straight from the layout, bound variables straight from
+    /// the frame's slots. No `Value` is cloned unless this is the first
+    /// probe of the `(rel, cols)` shape (which builds the owned index).
+    pub(super) fn probe_layout(
+        &mut self,
+        rel: &str,
+        relation: &Relation,
+        layout: &ProbeLayout,
+        frame: &Frame,
+    ) -> Option<std::rc::Rc<Vec<usize>>> {
+        fn resolve<'v>(src: &'v ProbeSrc, frame: &'v Frame) -> &'v Value {
+            match src {
+                ProbeSrc::Const(c) => c,
+                ProbeSrc::Slot(s) => frame.get(*s).expect("layout slots are statically bound"),
+            }
+        }
+        let hash = hash_probe_key(layout.srcs.iter().map(|s| resolve(s, frame)));
+        if let Some(postings) = self.indexes.get(rel).and_then(|m| m.get(&layout.cols)) {
+            return postings_find(postings, hash, layout.srcs.iter().map(|s| resolve(s, frame)));
+        }
+        let postings = postings_build(relation, &layout.cols);
+        let hits = postings_find(&postings, hash, layout.srcs.iter().map(|s| resolve(s, frame)));
+        self.indexes
+            .entry(rel.to_string())
+            .or_default()
+            .insert(layout.cols.clone(), postings);
+        hits
+    }
+
+    /// Report that `row` was appended to `rel` at storage position `idx`,
+    /// keeping every existing index over `rel` current.
+    pub fn note_insert(&mut self, rel: &str, row: &Row, idx: usize) {
+        if let Some(by_cols) = self.indexes.get_mut(rel) {
+            for (cols, postings) in by_cols.iter_mut() {
+                let hash = hash_probe_key(cols.iter().map(|&c| &row[c]));
+                let bucket = postings.entry(hash).or_default();
+                match bucket
+                    .iter_mut()
+                    .find(|(k, _)| k.iter().eq(cols.iter().map(|&c| &row[c])))
+                {
+                    Some((_, list)) => std::rc::Rc::make_mut(list).push(idx),
+                    None => bucket.push((
+                        cols.iter().map(|&c| row[c].clone()).collect(),
+                        std::rc::Rc::new(vec![idx]),
+                    )),
+                }
+            }
+        }
+    }
+
+    /// Report that the row at storage position `idx` of `rel` was removed.
+    /// Posting lists hold ascending positions, so the removal is a binary
+    /// search plus shift — O(log n + matches) per maintained index.
+    pub fn note_remove(&mut self, rel: &str, row: &Row, idx: usize) {
+        if let Some(by_cols) = self.indexes.get_mut(rel) {
+            for (cols, postings) in by_cols.iter_mut() {
+                let hash = hash_probe_key(cols.iter().map(|&c| &row[c]));
+                let Some(bucket) = postings.get_mut(&hash) else {
+                    continue;
+                };
+                if let Some(at) = bucket
+                    .iter()
+                    .position(|(k, _)| k.iter().eq(cols.iter().map(|&c| &row[c])))
+                {
+                    let list = std::rc::Rc::make_mut(&mut bucket[at].1);
+                    if let Ok(pos) = list.binary_search(&idx) {
+                        list.remove(pos);
+                    }
+                    if list.is_empty() {
+                        bucket.swap_remove(at);
+                    }
+                    if bucket.is_empty() {
+                        postings.remove(&hash);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Drop every index over `rel` (rebuilt lazily on the next probe).
+    /// Used when a relation is recomputed or compacted wholesale.
+    pub fn invalidate(&mut self, rel: &str) {
+        self.indexes.remove(rel);
+    }
+
+    /// Insert `row` into `relation` (named `rel`), keeping every index
+    /// over it current; `true` if the row is new.
+    pub(super) fn insert_into(&mut self, rel: &str, relation: &mut Relation, row: &Row) -> bool {
+        let new = relation.insert(row.clone());
+        if new {
+            self.note_insert(rel, row, relation.storage_len() - 1);
+        }
+        new
+    }
+
+    /// Remove `row` from `relation` (named `rel`), keeping every index
+    /// over it current; `true` if the row was present.
+    pub(super) fn remove_from(&mut self, rel: &str, relation: &mut Relation, row: &Row) -> bool {
+        let pos = relation.remove(row);
+        if let Some(pos) = pos {
+            self.note_remove(rel, row, pos);
+        }
+        pos.is_some()
+    }
+
+    /// Reclaim `relation`'s tombstones once they are worth it
+    /// ([`Relation::should_compact`]); compaction renumbers storage
+    /// positions, so every index over the relation is dropped with it.
+    pub(super) fn compact(&mut self, rel: &str, relation: &mut Relation) {
+        if relation.should_compact() {
+            relation.compact();
+            self.invalidate(rel);
+        }
+    }
+}

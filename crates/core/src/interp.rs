@@ -53,7 +53,8 @@ use crate::ast::{
 };
 use crate::eval::{
     build_key_indexes, eval_cexpr, eval_cselect, evaluate_views, CExpr, CSelect, Database,
-    EvalError, EvalState, Frame, ProgramPlan, RelDelta, Relation, Row, SlotCompiler, UdfHost,
+    EvalError, EvalState, Frame, ProgramPlan, RelDelta, Relation, Row, ScanCache, SlotCompiler,
+    UdfHost,
 };
 use crate::facets::Invariant;
 use crate::value::Value;
@@ -132,6 +133,16 @@ pub enum TransducerError {
     },
     /// Enqueue targeted a mailbox that is neither a handler nor declared.
     NoSuchMailbox(String),
+    /// An enqueued row's length disagrees with the mailbox: the handler's
+    /// parameter count, or the declared arity of a handler-less mailbox.
+    MessageArity {
+        /// Mailbox name.
+        mailbox: String,
+        /// Values provided.
+        given: usize,
+        /// Values the mailbox takes.
+        expected: usize,
+    },
     /// A merge or assignment targeted a key column. Key columns identify
     /// the row — rewriting one in place would detach the row from its
     /// storage key (and make keyed reads engine-dependent); delete and
@@ -167,6 +178,14 @@ impl std::fmt::Display for TransducerError {
                 "insert into {table:?} has {given} values, table has {expected} columns"
             ),
             TransducerError::NoSuchMailbox(m) => write!(f, "no such mailbox {m:?}"),
+            TransducerError::MessageArity {
+                mailbox,
+                given,
+                expected,
+            } => write!(
+                f,
+                "message to {mailbox:?} has {given} values, the mailbox takes {expected}"
+            ),
             TransducerError::KeyColumn { table, column } => write!(
                 f,
                 "cannot write key column {column:?} of table {table:?} in place \
@@ -856,6 +875,29 @@ impl ProgramCore {
             || self.program.mailboxes.iter().any(|m| m.name == name)
     }
 
+    /// Admit a message at the boundary: the mailbox must exist and the row
+    /// must have its arity. Every scan of a mailbox relation assumes rows
+    /// of one length (it checks the first row only), so a wrong-length row
+    /// must never reach a queue.
+    pub(crate) fn admit(&self, mailbox: &str, row: &Row) -> Result<(), TransducerError> {
+        let expected = match self.program.handler(mailbox) {
+            Some(h) => h.params.len(),
+            None => {
+                let decl = self.program.mailboxes.iter().find(|m| m.name == mailbox);
+                decl.ok_or_else(|| TransducerError::NoSuchMailbox(mailbox.to_string()))?
+                    .arity
+            }
+        };
+        if row.len() != expected {
+            return Err(TransducerError::MessageArity {
+                mailbox: mailbox.to_string(),
+                given: row.len(),
+                expected,
+            });
+        }
+        Ok(())
+    }
+
     /// The static reorder-safety report computed when this core's plan
     /// was compiled (see [`crate::reorder`]).
     pub fn reorder(&self) -> &crate::reorder::ReorderReport {
@@ -1084,12 +1126,14 @@ impl Transducer {
     }
 
     /// Enqueue a message; returns its id. The message becomes visible at
-    /// the *next* tick (it joins the snapshot then).
+    /// the *next* tick (it joins the snapshot then). An unknown mailbox or
+    /// a row of the wrong length is refused and consumes no id.
     pub fn enqueue(&mut self, mailbox: &str, row: Row) -> Result<u64, TransducerError> {
+        self.core.admit(mailbox, &row)?;
         let q = self
             .mailboxes
             .get_mut(mailbox)
-            .ok_or_else(|| TransducerError::NoSuchMailbox(mailbox.to_string()))?;
+            .expect("every admitted mailbox has a queue");
         let id = self.next_msg_id;
         self.next_msg_id += 1;
         q.push(Message { id, row });
@@ -1114,10 +1158,11 @@ impl Transducer {
         mailbox: &str,
         row: Row,
     ) -> Result<(), TransducerError> {
+        self.core.admit(mailbox, &row)?;
         let q = self
             .mailboxes
             .get_mut(mailbox)
-            .ok_or_else(|| TransducerError::NoSuchMailbox(mailbox.to_string()))?;
+            .expect("every admitted mailbox has a queue");
         q.push(Message { id, row });
         self.next_msg_id = self.next_msg_id.max(id + 1);
         self.pending.note_mailbox(mailbox);
@@ -1719,7 +1764,7 @@ impl Transducer {
                             scalars,
                             key_index,
                             udfs: &mut self.udfs,
-                            scan_cache: Default::default(),
+                            scan_cache: &mut ScanCache::default(),
                         };
                         let cond = compiled.cond.as_ref().expect("condition trigger compiled");
                         eval_cexpr(cond, &mut frame, &compiled.names, &mut ctx)?
@@ -1997,7 +2042,7 @@ impl Transducer {
             scalars,
             key_index,
             udfs: &mut self.udfs,
-            scan_cache: Default::default(),
+            scan_cache: &mut ScanCache::default(),
         };
         Ok(eval_cexpr(expr, frame, names, &mut ctx)?)
     }
@@ -2017,7 +2062,7 @@ impl Transducer {
             scalars,
             key_index,
             udfs: &mut self.udfs,
-            scan_cache: Default::default(),
+            scan_cache: &mut ScanCache::default(),
         };
         Ok(eval_cselect(select, frame, names, &mut ctx)?)
     }

@@ -147,9 +147,11 @@ impl RoutingSpec {
     }
 
     /// The shard a message to `mailbox` with payload `row` belongs to.
-    /// Routing parameters out of range (arity-mismatched messages) fall
-    /// back to the global shard rather than erroring — the handler itself
-    /// will surface the arity problem identically on any shard.
+    /// A routing parameter out of range (an arity-mismatched message)
+    /// falls back to the global shard rather than erroring: arity is
+    /// checked where messages enter — the drivers' and the transducer's
+    /// `enqueue` refuse such a row with `TransducerError::MessageArity`
+    /// before routing it — so this function stays total.
     pub fn shard_of(&self, mailbox: &str, row: &Row, shards: usize) -> usize {
         match self.routes.get(mailbox) {
             Some(Route::ByParam(p)) if *p < row.len() => {
@@ -247,9 +249,7 @@ impl ShardedTransducer {
     /// globally sequential message id (identical to what a single
     /// transducer would have assigned).
     pub fn enqueue(&mut self, mailbox: &str, row: Row) -> Result<u64, TransducerError> {
-        if !self.core.has_mailbox(mailbox) {
-            return Err(TransducerError::NoSuchMailbox(mailbox.to_string()));
-        }
+        self.core.admit(mailbox, &row)?;
         let shard = self.routing.shard_of(mailbox, &row, self.shards.len());
         let id = self.next_msg_id;
         self.next_msg_id += 1;
@@ -691,9 +691,7 @@ impl ParallelShardedTransducer {
     /// the merge key, the coordinator must own them) and hand the routing
     /// decision to the router thread.
     pub fn enqueue(&mut self, mailbox: &str, row: Row) -> Result<u64, TransducerError> {
-        if !self.core.has_mailbox(mailbox) {
-            return Err(TransducerError::NoSuchMailbox(mailbox.to_string()));
-        }
+        self.core.admit(mailbox, &row)?;
         let id = self.next_msg_id;
         self.next_msg_id += 1;
         self.enqueued_since += 1;

@@ -165,7 +165,7 @@ proptest! {
             scalars: &Default::default(),
             key_index: &Default::default(),
             udfs: &mut udfs,
-            scan_cache: Default::default(),
+            scan_cache: &mut Default::default(),
         };
         let got = eval_select(&select, &Bindings::default(), &mut ctx).unwrap();
         prop_assert_eq!(got, expect);

@@ -769,6 +769,66 @@ fn key_column_writes_are_rejected_by_every_engine() {
     }
 }
 
+/// An evaluation error first reachable *inside a delta variant* — `sum`
+/// meets a non-integer that arrives in a later tick, when the aggregate
+/// is already maintained by delta-keyed groups — must be the same error
+/// the fresh naive engine reports, must reproduce on retry, and must not
+/// outlive its cause: once the offending row is retracted the incremental
+/// engine (which dropped its evaluation state on the error and rebuilds
+/// it) answers like the fresh one again, on the recovery tick and on the
+/// delta-maintained ticks after it. The row comes and goes as a foreign
+/// exchange row because a failing tick runs no handler, so no handler
+/// could delete it.
+#[test]
+fn error_inside_a_delta_variant_matches_fresh_and_recovers() {
+    let int = Value::Int;
+    let mut engines = [EvalMode::Incremental, EvalMode::FreshNaive].map(|mode| {
+        let mut app = Transducer::new(agg_churn_program()).unwrap();
+        app.set_eval_mode(mode);
+        app
+    });
+    fn tick_both(engines: &mut [Transducer; 2], ctx: &str) -> Result<TickOutput, String> {
+        let [a, b] = engines.each_mut().map(|app| app.tick());
+        assert_eq!(a, b, "{ctx}: incremental vs fresh-naive");
+        a.map_err(|e| e.to_string())
+    }
+    let send = |engines: &mut [Transducer; 2], mailbox: &str, row: Vec<Value>| {
+        for app in engines.iter_mut() {
+            app.enqueue_ok(mailbox, row.clone());
+        }
+    };
+    let foreign = |engines: &mut [Transducer; 2], row: Option<Vec<Value>>| {
+        for app in engines.iter_mut() {
+            app.apply_exchange_delta(vec![("m".to_string(), vec![(vec![int(3)], row.clone())])]);
+        }
+    };
+
+    send(&mut engines, "put", vec![int(1), int(7), int(10)]);
+    tick_both(&mut engines, "first put").unwrap();
+    send(&mut engines, "put", vec![int(2), int(7), int(5)]);
+    tick_both(&mut engines, "second put (groups now delta-keyed)").unwrap();
+
+    foreign(&mut engines, Some(vec![int(3), int(7), Value::Str("x".into())]));
+    send(&mut engines, "ask", vec![]);
+    let err = tick_both(&mut engines, "sum over a string").unwrap_err();
+    assert!(err.contains("expected int"), "{err}");
+    assert_eq!(tick_both(&mut engines, "retry").unwrap_err(), err);
+
+    foreign(&mut engines, None);
+    let out = tick_both(&mut engines, "offending row retracted").unwrap();
+    assert_eq!(out.messages_processed, 1, "the queued `ask` is finally served");
+    assert!(out.sends.iter().any(|s| s.row == vec![int(7), int(15)]), "{:?}", out.sends);
+
+    send(&mut engines, "put", vec![int(4), int(7), int(1)]);
+    tick_both(&mut engines, "put after recovery").unwrap();
+    send(&mut engines, "rm", vec![int(1)]);
+    send(&mut engines, "ask", vec![]);
+    tick_both(&mut engines, "delta-maintained again").unwrap();
+    send(&mut engines, "ask", vec![]);
+    let out = tick_both(&mut engines, "final read").unwrap();
+    assert!(out.sends.iter().any(|s| s.row == vec![int(7), int(6)]), "{:?}", out.sends);
+}
+
 /// A head fed by both an aggregation rule and a plain rule entangles two
 /// maintenance regimes on one relation; it is rejected at validation.
 #[test]

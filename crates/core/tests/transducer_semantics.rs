@@ -6,10 +6,12 @@
 //! ("once per input per tick"), asynchronous sends, condition triggers,
 //! and the runtime's error surface.
 
-use hydro_core::ast::{AggFun, Expr};
+use hydro_core::ast::{AggFun, Expr, Term};
 use hydro_core::builder::dsl::*;
 use hydro_core::builder::ProgramBuilder;
 use hydro_core::interp::{Transducer, TransducerError};
+use hydro_core::serve::ServeDriver;
+use hydro_core::shard::{ParallelShardedTransducer, Route, RoutingSpec, ShardedTransducer};
 use hydro_core::value::{LatticeKind, Value};
 
 fn ints(row: &[i64]) -> Vec<Value> {
@@ -287,6 +289,72 @@ fn unknown_mailbox_enqueue_is_an_error() {
     let mut app = Transducer::new(program).unwrap();
     let err = app.enqueue("ghost", vec![]).unwrap_err();
     assert!(matches!(err, TransducerError::NoSuchMailbox(_)));
+}
+
+/// Regression (hostile input at the boundary): `enqueue` used to accept a
+/// row whose length disagrees with its mailbox, and the *next tick
+/// panicked* ("layout slots are statically bound") once a view scanned
+/// the mailbox past a correctly sized row — a scan checks arity on the
+/// relation's first row only. All three drivers now refuse such a row
+/// where it enters, without consuming a message id, and keep serving.
+fn wrong_arity_rows_are_refused<D: ServeDriver>(mut app: D) {
+    app.enqueue("put", ints(&[2, 7])).unwrap();
+    app.tick().unwrap();
+
+    let first = app.enqueue("ping", ints(&[1, 2])).unwrap();
+    for (mailbox, bad, expected) in [
+        ("ping", ints(&[1]), 2),
+        ("ping", ints(&[1, 2, 3]), 2),
+        ("log", ints(&[1, 2]), 1),
+    ] {
+        let given = bad.len();
+        assert_eq!(
+            app.enqueue(mailbox, bad).unwrap_err(),
+            TransducerError::MessageArity {
+                mailbox: mailbox.to_string(),
+                given,
+                expected,
+            }
+        );
+    }
+    // Ids stay dense: a refused row consumed none.
+    assert_eq!(app.enqueue("ping", ints(&[3, 2])).unwrap(), first + 1);
+
+    let out = app.tick().unwrap();
+    let replies: Vec<(u64, Value)> = out
+        .responses
+        .into_iter()
+        .map(|r| (r.message_id, r.value))
+        .collect();
+    assert_eq!(replies, vec![(first, Value::Int(3)), (first + 1, Value::Int(5))]);
+}
+
+#[test]
+fn wrong_arity_enqueue_is_an_error_on_every_driver() {
+    let program = || {
+        ProgramBuilder::new()
+            .table("t", vec![("k", atom()), ("v", atom())], &["k"], None)
+            .mailbox("log", 1)
+            .rule(
+                "joined",
+                vec![v("x"), v("y")],
+                vec![
+                    scan("ping", &["x", "y"]),
+                    scan_terms("t", vec![Term::Var("y".into()), Term::Wildcard]),
+                ],
+            )
+            .on("put", &["k", "val"], vec![insert("t", vec![v("k"), v("val")])])
+            .on("ping", &["x", "y"], vec![ret(add(v("x"), v("y")))])
+            .build()
+    };
+    let routing = || {
+        RoutingSpec::all_global()
+            .with_route("put", Route::ByParam(0))
+            .with_route("ping", Route::ByParam(0))
+    };
+    wrong_arity_rows_are_refused(Transducer::new(program()).unwrap());
+    wrong_arity_rows_are_refused(ShardedTransducer::new(program(), routing(), 2).unwrap());
+    wrong_arity_rows_are_refused(ParallelShardedTransducer::new(program(), routing(), 2).unwrap());
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! The Wing–Gong linearizability checker vs. a brute-force oracle.
 //!
-//! DESIGN.md promises this differential test: on every random tiny history
+//! A differential test: on every random tiny history
 //! the memoized search in `hydro_deploy::consistency::linearizable` must
 //! agree with a permutation-enumerating oracle. Also checks the two
 //! session guarantees against hand-derivable facts on the same histories.

@@ -1,7 +1,7 @@
 //! Differential testing: the compiled Hydroflow plans must agree with the
 //! naive interpreter on every query, for every input.
 //!
-//! This is the classic compiler-correctness harness (DESIGN.md's
+//! This is the classic compiler-correctness harness (the
 //! "semi-naive ≡ naive evaluation" property): a family of query shapes —
 //! joins, unions, guards, negation, recursion, let-bindings, aggregation —
 //! is evaluated over random fact sets by both engines and the view

@@ -7,7 +7,7 @@
 //! reproduction substitutes testing-based verification (random +
 //! boundary-case inputs, seeded), which preserves the architecture — search
 //! over a declarative grammar, accept only candidates indistinguishable
-//! from the source — at laptop scale. DESIGN.md records the substitution.
+//! from the source — at laptop scale.
 //!
 //! The source language is the single-accumulator loop (the shape §4 says
 //! lifts well: "applications consisting largely of single-threaded logic"),

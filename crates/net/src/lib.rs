@@ -9,8 +9,7 @@
 //! EC2. A seeded, single-threaded event queue reproduces exactly those
 //! phenomena (asynchronous delay, reordering, loss, partitions, correlated
 //! vs. independent failures across VM/rack/DC/AZ domains) while keeping
-//! every experiment bit-for-bit reproducible. See DESIGN.md's substitution
-//! table.
+//! every experiment bit-for-bit reproducible.
 //!
 //! The model: nodes hold a [`NodeLogic`] state machine; messages carry a
 //! user payload type `M`; link latency is `base + hierarchy penalty +

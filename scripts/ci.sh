@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
-# One-command tier-1 verification: release build, full workspace test
-# suite, lint wall, and the perf smoke with its regression diff against
-# the committed BENCH_interp.json.
+# The full gate, one command: release build, full workspace test suite,
+# the named differential suites, examples, lint wall, the benchmark's own
+# tests and a short benchmark run, and the perf smoke with its regression
+# diff against the committed BENCH_interp.json. (Tier-1, what the driver
+# runs, is only `cargo build --release && cargo test -q`: the facade
+# package's tests, of which `tests/workspace_smoke.rs` is the one that
+# reaches the evaluator.)
 #
 # Usage: scripts/ci.sh [--no-bench]
 #   --no-bench   skip the perf smoke (e.g. on noisy shared machines)
@@ -39,8 +43,8 @@ echo "== deletion-maintenance differential suites =="
 # divergence is unmissable in CI output: three-way (counting vs
 # unit-recompute vs fresh) proptests over graph churn, aggregate-group
 # churn, and rollback interleavings; the DRed alternative-derivation
-# scenario; SIP gating on the static reorder proof; and the N∈{1,2,4}
-# sharded churn runs.
+# scenario; SIP gating on the static reorder proof (a unit test of
+# `eval/plan.rs`, matched by name); and the N∈{1,2,4} sharded churn runs.
 cargo test -q -p hydro-core --test seminaive_differential -- \
   counting_dred_agree_with_recompute_and_fresh \
   counting_agg_groups_agree_with_recompute_and_fresh \
@@ -138,6 +142,16 @@ if ! cargo run --release -p hydro --example preflight -- --json examples/*.hydro
   echo "preflight --json did not produce the expected JSON array" >&2
   exit 1
 fi
+
+echo
+echo "== benchmark package: its tests, and one short workload =="
+# `benchmark/` is a workspace of its own that the commands above do not
+# see. Its tests cover the generators, oracle and statistics; the short
+# `view_churn` run compiles the adapter against the current crates and
+# checks every reply (a signature change or a wrong reply fails it).
+# Judged by exit code only — two seconds is no timing gate.
+(cd benchmark && cargo test --offline -q)
+bash benchmark/run.sh --workload view_churn --seconds 2 >/dev/null
 
 echo
 echo "== cargo clippy --workspace -- -D warnings =="

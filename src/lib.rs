@@ -7,8 +7,11 @@
 //! semantics, **A**vailability, **C**onsistency, **T**argets of
 //! optimization) expressed over a declarative IR (HydroLogic), compiled by
 //! Hydrolysis onto the Hydroflow single-node dataflow runtime, and deployed
-//! over a simulated cluster. See `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the reproduced experiment suite.
+//! over a simulated cluster. The layer map below is the system inventory;
+//! each crate's module docs carry its design, `CHANGES.md` the history of
+//! what each PR built and measured (experiments E1–E20 run from
+//! `hydro-bench`'s `report` binary), and `benchmark/README.md` the
+//! text-to-reply benchmark.
 //!
 //! ## Layer map
 //!
