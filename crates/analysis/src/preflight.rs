@@ -172,7 +172,7 @@ pub fn preflight(program: &Program) -> PreflightReport {
     )
     .because(
         "proven-safe rules are eligible for join reordering, sideways information \
-         passing, and counting maintenance (ROADMAP item 3)",
+         passing, and counting maintenance (see the module docs of `hydro_core::eval`)",
     );
     for v in reorder.iter().filter(|v| !v.reorder_safe()) {
         summary = summary.because(format!("not safe: {}", v.provenance));

@@ -524,7 +524,9 @@ fn partition_diagnostics_carry_derivation_chains() {
 /// ISSUE 8 acceptance: every rule the partition analysis classifies as
 /// monotone shard-local across the differential fixtures is statically
 /// proven reorder-safe, and the verdict rides on the compiled core —
-/// the license ROADMAP item 3's join reordering / SIP work consumes.
+/// the license the evaluator's join reordering / SIP consumes (see the
+/// "Sideways information passing" section of `hydro_core::eval`'s module
+/// docs).
 #[test]
 fn shard_local_rules_are_proven_reorder_safe() {
     for (name, program) in [

@@ -86,8 +86,7 @@
 //!
 //! [`EvalState`] extends the same delta argument *across ticks*: the
 //! transducer owns a persistent materialized database (base relations and
-//! views), persistent scan indexes ([`ScanCache::note_remove`] keeps them
-//! valid under deletion), a persistent table-key mirror, and a
+//! views), persistent scan indexes, a persistent table-key mirror, and a
 //! once-per-program compiled [`ProgramPlan`] — strata split into strongly
 //! connected components (`EvalUnit`s) in dependency order, with
 //! delta-variant tables and per-atom probe layouts precomputed. At tick
@@ -153,12 +152,28 @@
 //! the head's variables are pre-bound, so a check is a keyed probe chain,
 //! not a full rule evaluation.
 //!
+//! **One persistent index set.** Every `(relation, bound columns)` index
+//! is built by the first probe of that shape and then only maintained:
+//! landed and retracted rows report to it ([`ScanCache::note_insert`],
+//! [`ScanCache::note_remove`]); a compaction of a tombstone-heavy
+//! relation renumbers its live rows in place and rewrites the posting
+//! lists through the old → new position table (positions stay ascending,
+//! so an index-driven scan still enumerates rows in insertion order);
+//! only a `Recompute` unit, whose heads are emptied and re-derived, drops
+//! its heads' indexes ([`ScanCache::invalidate`]). The tick's handlers
+//! read through the same cache — the database is borrowed immutably while
+//! they run, so it cannot go stale — which makes a keyed read of a view
+//! (`{p2 for transitive(pid, p2)}`) cost its answer, not the view, and
+//! makes the reader's index one more index the next tick's deltas keep
+//! current. [`EvalState::index_builds`] counts full-relation builds; in
+//! the steady state it does not move.
+//!
 //! # Module map
 //!
 //! | file | holds |
 //! |---|---|
-//! | `relation.rs` | [`Relation`] (tombstoned, insertion-ordered), [`RelDelta`], [`Row`], [`Database`] |
-//! | `scan_cache.rs` | [`ScanCache`]: lazily built `(relation, bound columns)` probe indexes |
+//! | `relation.rs` | [`Relation`] (tombstoned, insertion-ordered, compacted by renumbering), [`RelDelta`], [`Row`], [`Database`] |
+//! | `scan_cache.rs` | [`ScanCache`]: `(relation, bound columns)` probe indexes, built on first probe, then maintained |
 //! | `slots.rs` | the slot pass and the compiled-body interpreter (`SlotCompiler`, `Frame`, `CExpr`/`CAtom`, `eval_cexpr`, `eval_cbody`) |
 //! | `plan.rs` | [`stratify`], the compiled `RuleSet`, SIP/check compilation, [`ProgramPlan`] and its `EvalUnit`s |
 //! | `maintain.rs` | the delta-round kernel, its three sinks, DRed |
@@ -338,8 +353,11 @@ pub struct EvalCtx<'a> {
     pub udfs: &'a mut UdfHost,
     /// Lazily-built scan indexes over the snapshot (see [`ScanCache`]),
     /// borrowed so a caller that keeps its database across evaluations
-    /// keeps the indexes too; a one-shot caller passes a throwaway
-    /// `ScanCache::default()`.
+    /// keeps the indexes too: the incremental transducer passes
+    /// [`EvalState`]'s persistent cache to view maintenance *and* to the
+    /// tick's handlers. Only a caller whose database does not outlive the
+    /// call (a fresh tick, the reference evaluators) passes a cache of its
+    /// own.
     pub scan_cache: &'a mut ScanCache,
 }
 

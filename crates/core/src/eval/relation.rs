@@ -15,8 +15,10 @@ pub type Row = Vec<Value>;
 /// Removal is tombstone-based so row *positions* stay stable: the scan
 /// indexes of a persistent [`ScanCache`] hold storage positions, and a
 /// removal must not shift the rows behind it. Dead slots are skipped by
-/// iteration and reclaimed by [`Relation::compact`] (callers that hold an
-/// index over the relation must invalidate it when they compact).
+/// iteration and reclaimed by [`Relation::compact`], which renumbers the
+/// live rows and returns the old → new position table so that an index
+/// over positions is rewritten through it, not rebuilt (`ScanCache::compact`
+/// does both).
 #[derive(Clone, Debug, Default)]
 pub struct Relation {
     rows: Vec<Row>,
@@ -112,28 +114,37 @@ impl Relation {
     /// delete-heavy resident relation's storage bounded at ~1.25× its
     /// live size (plus a small constant floor that stops tiny relations
     /// from compacting on every removal): reclaiming `len/4` tombstones
-    /// pays one O(len) rebuild per `len/4` removals — amortized O(1).
+    /// pays one O(len) sweep per `len/4` removals — amortized O(1).
     pub fn should_compact(&self) -> bool {
         self.dead > 64 && self.dead * 4 >= self.len()
     }
 
-    /// Drop tombstones, renumbering storage positions (insertion order is
-    /// preserved). Any external index over positions must be invalidated.
-    pub fn compact(&mut self) {
-        if self.dead == 0 {
-            return;
-        }
-        let rows = std::mem::take(&mut self.rows);
-        let live = std::mem::take(&mut self.live);
-        self.index.clear();
+    /// Drop tombstones in place, renumbering storage positions, and return
+    /// the old → new position table (`usize::MAX` for a dead slot). Live
+    /// rows keep their relative order, so positions stay ascending in
+    /// insertion order and an index over them is rewritten through the
+    /// table, entry by entry. No row is cloned or re-hashed.
+    pub fn compact(&mut self) -> Vec<usize> {
+        let mut kept = 0;
+        let remap: Vec<usize> = self
+            .live
+            .iter()
+            .map(|&alive| {
+                let new = if alive { kept } else { usize::MAX };
+                kept += usize::from(alive);
+                new
+            })
+            .collect();
+        let mut live = self.live.iter();
+        self.rows
+            .retain(|_| *live.next().expect("one flag per slot"));
+        self.live.clear();
+        self.live.resize(kept, true);
         self.dead = 0;
-        for (row, alive) in rows.into_iter().zip(live) {
-            if alive {
-                self.index.insert(row.clone(), self.rows.len());
-                self.rows.push(row);
-                self.live.push(true);
-            }
+        for pos in self.index.values_mut() {
+            *pos = remap[*pos];
         }
+        remap
     }
 
     /// Rows as a sorted set (for order-insensitive comparisons in tests).
@@ -240,6 +251,85 @@ mod tests {
         // Content survives the compaction cycles intact.
         for i in 10_000..10_000 + resident {
             assert!(rel.contains(&[Value::Int(i)]));
+        }
+    }
+
+    /// Renumbering by hand: the table maps each live slot to its rank
+    /// among the live slots, dead slots to `usize::MAX`, and the rows come
+    /// out in their old order at exactly those positions.
+    #[test]
+    fn compact_returns_the_old_to_new_position_table() {
+        let mut rel = Relation::from_rows((0..6).map(|i| vec![Value::Int(i)]));
+        assert_eq!(rel.remove(&[Value::Int(1)]), Some(1));
+        assert_eq!(rel.remove(&[Value::Int(4)]), Some(4));
+        let dead = usize::MAX;
+        assert_eq!(rel.compact(), vec![0, dead, 1, 2, dead, 3]);
+        assert_eq!(rel.storage_len(), 4);
+        let rows: Vec<&Row> = rel.iter().collect();
+        assert_eq!(
+            rows,
+            [
+                &[Value::Int(0)],
+                &[Value::Int(2)],
+                &[Value::Int(3)],
+                &[Value::Int(5)]
+            ]
+        );
+        assert_eq!(rel.row(3), &[Value::Int(5)]);
+        assert_eq!(rel.remove(&[Value::Int(3)]), Some(2));
+        // Nothing to reclaim: the identity table.
+        let mut full = Relation::from_rows((0..3).map(|i| vec![Value::Int(i)]));
+        assert_eq!(full.compact(), vec![0, 1, 2]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Random insert/remove sequences that cross `should_compact`
+        /// several times, against a model of the storage slots: every
+        /// compaction keeps the live rows, their order and nothing else,
+        /// and `remove` keeps returning the (renumbered) position.
+        #[test]
+        fn compaction_preserves_rows_order_and_positions(
+            ops in proptest::collection::vec((proptest::prelude::any::<bool>(), 0i64..48), 900..1200),
+        ) {
+            let mut rel = Relation::new();
+            let mut slots: Vec<Option<Row>> = Vec::new();
+            let mut compactions = 0;
+            for (insert, k) in ops {
+                let row = vec![Value::Int(k % 5), Value::Int(k)];
+                let at = slots.iter().position(|s| s.as_ref() == Some(&row));
+                assert_eq!(rel.contains(&row), at.is_some());
+                if insert {
+                    assert_eq!(rel.insert(row.clone()), at.is_none());
+                    if at.is_none() {
+                        slots.push(Some(row));
+                    }
+                } else {
+                    assert_eq!(rel.remove(&row), at);
+                    if let Some(at) = at {
+                        slots[at] = None;
+                    }
+                }
+                if rel.should_compact() {
+                    let remap = rel.compact();
+                    compactions += 1;
+                    let mut kept = 0..;
+                    let expect: Vec<usize> = slots
+                        .iter()
+                        .map(|s| s.as_ref().map_or(usize::MAX, |_| kept.next().expect("unbounded")))
+                        .collect();
+                    assert_eq!(remap, expect);
+                    slots.retain(Option::is_some);
+                    assert_eq!(rel.storage_len(), rel.len());
+                }
+                assert_eq!(rel.storage_len(), slots.len());
+                assert!(rel.iter().eq(slots.iter().flatten()));
+                assert!(rel
+                    .iter_indexed()
+                    .eq(slots.iter().enumerate().filter_map(|(i, s)| Some((i, s.as_ref()?)))));
+            }
+            assert!(compactions >= 2, "only {compactions} compactions: the sequence is too tame");
         }
     }
 }

@@ -29,16 +29,20 @@ type Postings = FxHashMap<u64, Vec<(Vec<Value>, std::rc::Rc<Vec<usize>>)>>;
 
 /// Lazily-built composite equality indexes over relations, keyed by
 /// `(relation, bound column set)`: probe key → row positions per key
-/// shape, built on the first probe of that shape.
+/// shape, built on the first probe of that shape and never again.
 ///
 /// A cache stays valid as long as every mutation of an indexed relation is
 /// reported: appends via [`ScanCache::note_insert`], removals via
-/// [`ScanCache::note_remove`], wholesale resets via
+/// [`ScanCache::note_remove`], a compaction's renumbering via
+/// `ScanCache::compact`, a wholesale re-derivation via
 /// [`ScanCache::invalidate`]. Within a tick, [`evaluate_views`] reports
-/// every append; across ticks, [`EvalState`] reports removals too, so the
-/// same indexes survive from one tick to the next instead of being rebuilt.
-/// Everything else uses a context whose lifetime is bounded by an immutable
-/// borrow of the database, under which the cache trivially cannot go stale.
+/// every append; across ticks, [`EvalState`] reports all four, and lends
+/// the same cache to the tick's handlers — the database is borrowed
+/// immutably for the whole handler phase — so an index a reader's probe
+/// built is maintained from then on like one a rule's probe built, and a
+/// keyed read costs its answer, not the relation. Everything else uses a
+/// context whose lifetime is bounded by an immutable borrow of the
+/// database, under which the cache trivially cannot go stale.
 #[derive(Default)]
 pub struct ScanCache {
     /// relation → sorted bound-column set → probe index. Posting lists sit
@@ -53,6 +57,8 @@ pub struct ScanCache {
     /// [`ScanCache::probe_layout`].
     probe_cols: Vec<usize>,
     probe_key: Vec<Value>,
+    /// How many indexes were ever built (see [`ScanCache::index_builds`]).
+    builds: u64,
 }
 
 /// Find the posting list for a probe key among `postings`, comparing the
@@ -110,6 +116,7 @@ impl ScanCache {
         if let Some(postings) = self.indexes.get(rel).and_then(|m| m.get(&self.probe_cols)) {
             return postings_find(postings, hash, self.probe_key.iter());
         }
+        self.builds += 1;
         let postings = postings_build(relation, &self.probe_cols);
         let hits = postings_find(&postings, hash, self.probe_key.iter());
         self.indexes
@@ -141,6 +148,7 @@ impl ScanCache {
         if let Some(postings) = self.indexes.get(rel).and_then(|m| m.get(&layout.cols)) {
             return postings_find(postings, hash, layout.srcs.iter().map(|s| resolve(s, frame)));
         }
+        self.builds += 1;
         let postings = postings_build(relation, &layout.cols);
         let hits = postings_find(&postings, hash, layout.srcs.iter().map(|s| resolve(s, frame)));
         self.indexes
@@ -201,9 +209,18 @@ impl ScanCache {
     }
 
     /// Drop every index over `rel` (rebuilt lazily on the next probe).
-    /// Used when a relation is recomputed or compacted wholesale.
+    /// Used when a relation is emptied and re-derived wholesale
+    /// (`Recompute`); nothing cheaper than a rebuild relates its old
+    /// positions to its new ones.
     pub fn invalidate(&mut self, rel: &str) {
         self.indexes.remove(rel);
+    }
+
+    /// How many `(relation, cols)` indexes this cache has built from a
+    /// full pass over a relation. In the steady state of an incremental
+    /// transducer it stops growing: every index is maintained in place.
+    pub fn index_builds(&self) -> u64 {
+        self.builds
     }
 
     /// Insert `row` into `relation` (named `rel`), keeping every index
@@ -227,12 +244,132 @@ impl ScanCache {
     }
 
     /// Reclaim `relation`'s tombstones once they are worth it
-    /// ([`Relation::should_compact`]); compaction renumbers storage
-    /// positions, so every index over the relation is dropped with it.
+    /// ([`Relation::should_compact`]). Compaction renumbers storage
+    /// positions monotonically, so every posting list over the relation is
+    /// rewritten through the old → new table and stays ascending — no
+    /// index is dropped, no key re-hashed. Runs between evaluation rounds
+    /// like [`ScanCache::note_insert`], when no probe handle is alive, so
+    /// `Rc::make_mut` rewrites in place.
     pub(super) fn compact(&mut self, rel: &str, relation: &mut Relation) {
-        if relation.should_compact() {
-            relation.compact();
-            self.invalidate(rel);
+        if !relation.should_compact() {
+            return;
+        }
+        let remap = relation.compact();
+        let lists = self
+            .indexes
+            .get_mut(rel)
+            .into_iter()
+            .flat_map(|by_cols| by_cols.values_mut())
+            .flat_map(|postings| postings.values_mut())
+            .flatten();
+        for (_, list) in lists {
+            for pos in std::rc::Rc::make_mut(list) {
+                *pos = remap[*pos];
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Probe `cols == key` the owned-value way.
+    fn probe(
+        cache: &mut ScanCache,
+        rel: &Relation,
+        cols: &[usize],
+        key: &[Value],
+    ) -> Option<Vec<usize>> {
+        let (c, k) = cache.begin_probe();
+        c.extend_from_slice(cols);
+        k.extend_from_slice(key);
+        cache.probe_prepared("r", rel).map(|ids| ids.to_vec())
+    }
+
+    /// Every index `cache` holds over `rel` answers every key of `keys`
+    /// exactly like an index built fresh over `rel` as it now stands.
+    fn assert_matches_fresh(cache: &mut ScanCache, rel: &Relation, keys: &[Row]) {
+        let mut fresh = ScanCache::default();
+        for cols in [vec![0], vec![1], vec![0, 1]] {
+            for row in keys {
+                let key: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
+                assert_eq!(
+                    probe(cache, rel, &cols, &key),
+                    probe(&mut fresh, rel, &cols, &key),
+                    "index {cols:?}, key {key:?}"
+                );
+            }
+        }
+    }
+
+    /// A compaction renumbers the posting lists in place: same index
+    /// objects, new ascending positions, nothing rebuilt.
+    #[test]
+    fn compaction_remaps_posting_lists_without_rebuilding() {
+        let int = Value::Int;
+        let mut cache = ScanCache::default();
+        let mut rel = Relation::new();
+        for i in 0..400 {
+            cache.insert_into("r", &mut rel, &vec![int(i % 4), int(i)]);
+        }
+        let matches = |cache: &mut ScanCache, rel: &Relation| {
+            probe(cache, rel, &[0], &[int(1)]).map_or(0, |ids| ids.len())
+        };
+        assert_eq!(matches(&mut cache, &rel), 100);
+        assert_eq!(cache.index_builds(), 1);
+        // Remove everything but the multiples of 5: 320 tombstones.
+        for i in (0..400).filter(|i| i % 5 != 0) {
+            assert!(cache.remove_from("r", &mut rel, &vec![int(i % 4), int(i)]));
+        }
+        assert!(rel.should_compact());
+        cache.compact("r", &mut rel);
+        assert_eq!(rel.storage_len(), 80);
+        // Rows 5, 25, 45, … (i % 20 == 5) are at slots 1, 5, 9, ….
+        let hits = probe(&mut cache, &rel, &[0], &[int(1)]).expect("twenty rows");
+        assert_eq!(hits, (0..20).map(|n| 4 * n + 1).collect::<Vec<_>>());
+        assert_eq!(rel.row(hits[1]), &vec![int(1), int(25)]);
+        assert_eq!(cache.index_builds(), 1, "remapped, not rebuilt");
+        // And it is maintained from there like any other index.
+        cache.insert_into("r", &mut rel, &vec![int(1), int(1_001)]);
+        assert_eq!(matches(&mut cache, &rel), 21);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Random churn crossing `should_compact` several times, with three
+        /// indexes alive from the start: after every compaction (and at
+        /// the end) each index equals a freshly built one, key by key,
+        /// position list by position list — and none was ever rebuilt.
+        #[test]
+        fn remapped_indexes_equal_fresh_ones(
+            ops in proptest::collection::vec((any::<bool>(), 0i64..48), 900..1200),
+        ) {
+            let keys: Vec<Row> = (0..48).map(|k| vec![Value::Int(k % 5), Value::Int(k)]).collect();
+            let mut cache = ScanCache::default();
+            let mut rel = Relation::new();
+            assert_matches_fresh(&mut cache, &rel, &keys[..1]);
+            assert_eq!(cache.index_builds(), 3);
+            let mut compactions = 0;
+            for (insert, k) in ops {
+                let row = &keys[k as usize];
+                if insert {
+                    cache.insert_into("r", &mut rel, row);
+                } else {
+                    cache.remove_from("r", &mut rel, row);
+                }
+                if rel.should_compact() {
+                    cache.compact("r", &mut rel);
+                    compactions += 1;
+                    assert_eq!(rel.storage_len(), rel.len());
+                    assert_matches_fresh(&mut cache, &rel, &keys);
+                }
+            }
+            assert_matches_fresh(&mut cache, &rel, &keys);
+            assert!(compactions >= 2, "only {compactions} compactions: the sequence is too tame");
+            assert_eq!(cache.index_builds(), 3);
         }
     }
 }

@@ -74,7 +74,10 @@ pub struct EvalState {
     /// columns) — but the materialized set must degrade gracefully, not
     /// drop live rows, if that invariant is ever relaxed.
     row_counts: FxHashMap<String, FxHashMap<Row, u32>>,
-    cache: ScanCache,
+    /// The scan indexes over `db`: every mutation of `db` reports to it,
+    /// so the transducer also lends it to the tick's handlers (which only
+    /// read `db`) instead of having them index a view per read.
+    pub(crate) cache: ScanCache,
     initialized: bool,
     /// Per-head derived-row support counts for counting-maintained
     /// units: how many distinct rule-body assignments currently derive
@@ -162,6 +165,13 @@ impl EvalState {
             self.supports.clear();
             self.agg_state.clear();
         }
+    }
+
+    /// How many scan indexes this state has built from a full pass over a
+    /// relation ([`ScanCache::index_builds`]): constant once every access
+    /// path of the program has been probed once.
+    pub fn index_builds(&self) -> u64 {
+        self.cache.index_builds()
     }
 
     /// Take the recycled `changed`-map scratch for this tick's journal

@@ -243,12 +243,14 @@ fn touched_tables(effects: &[Effect]) -> std::collections::BTreeSet<String> {
     out
 }
 
-/// One handler invocation's worth of effects plus its invariants.
-struct EffectGroup {
-    handler: String,
+/// One handler invocation's worth of effects plus its invariants (the
+/// handler's name and invariants are read through the shared
+/// [`ProgramCore`], not copied per message).
+struct EffectGroup<'c> {
+    handler: &'c str,
     message_id: Option<u64>,
     effects: Vec<Effect>,
-    invariants: Vec<Invariant>,
+    invariants: &'c [Invariant],
     /// Invariant parameter values (e.g. `HasKey.key_param`) captured at
     /// group creation, one per invariant (`Null` where the invariant takes
     /// no parameter or the name was unbound) — the slot-frame replacement
@@ -541,6 +543,18 @@ impl TickMirror {
             }
         }
     }
+}
+
+/// What a tick's handlers read: the tick-start database with every view,
+/// the scalar and table-key snapshots (a serialized message substitutes
+/// the [`TickMirror`]'s), and the scan indexes over `db`. `db` is borrowed
+/// immutably for the whole handler phase — commits go to [`State`] and the
+/// mirror, never to `db` — so `cache` cannot go stale while it is lent.
+struct Snapshot<'a> {
+    db: &'a Database,
+    scalars: &'a FxHashMap<String, Value>,
+    key_index: &'a FxHashMap<String, FxHashMap<Row, Row>>,
+    cache: &'a mut ScanCache,
 }
 
 /// Which evaluation engine a transducer's ticks use. Semantics are
@@ -906,7 +920,8 @@ impl ProgramCore {
 
     /// Whether plain rule `index` (into `Program::rules`) is proven
     /// reorder-safe — the per-rule license for join reordering, sideways
-    /// information passing, and counting maintenance (ROADMAP item 3).
+    /// information passing, and counting maintenance (see the module docs
+    /// of [`crate::eval`]).
     pub fn rule_reorder_safe(&self, index: usize) -> bool {
         self.plan.rule_reorder_safe(index)
     }
@@ -1098,6 +1113,15 @@ impl Transducer {
     /// observable evidence for the §3.1 "once per input per tick" contract.
     pub fn udf_invocations(&self, name: &str) -> u64 {
         self.udfs.invocation_count(name)
+    }
+
+    /// How many scan indexes the incremental engine's current evaluation
+    /// state has built from a full pass over a relation
+    /// ([`EvalState::index_builds`]; 0 while there is no such state).
+    /// Observable evidence that steady-state reads and compactions
+    /// maintain their access paths instead of rebuilding them.
+    pub fn index_builds(&self) -> u64 {
+        self.eval.as_ref().map_or(0, EvalState::index_builds)
     }
 
     /// Read a scalar's current value.
@@ -1460,7 +1484,13 @@ impl Transducer {
             evaluate_views(&self.core.program, &base, &scalars, &mut self.udfs)?
         };
         let key_index = build_key_indexes(&self.core.program, &base);
-        self.run_handlers(&db, &scalars, &key_index)
+        // One index set for the tick's handlers: `db` no longer changes.
+        self.run_handlers(Snapshot {
+            db: &db,
+            scalars: &scalars,
+            key_index: &key_index,
+            cache: &mut ScanCache::default(),
+        })
     }
 
     /// The incremental path: fold the effect journal of the previous tick
@@ -1602,7 +1632,13 @@ impl Transducer {
         // `eval` is dropped (partially updated), and the next tick
         // rebuilds it from state — errors stay reproducible.
         eval.evaluate(&self.core.program, changed, &changed_scalars, &mut self.udfs)?;
-        let out = self.run_handlers(&eval.db, &eval.scalars, &eval.key_index);
+        // Handlers probe the indexes view maintenance keeps current.
+        let out = self.run_handlers(Snapshot {
+            db: &eval.db,
+            scalars: &eval.scalars,
+            key_index: &eval.key_index,
+            cache: &mut eval.cache,
+        });
         if out.is_ok() {
             self.eval = Some(eval);
         }
@@ -1645,14 +1681,9 @@ impl Transducer {
     }
 
     /// Steps 3–5 of the tick, shared by every evaluation mode: run
-    /// handlers against the snapshot `db`/`scalars`/`key_index`, apply
-    /// effects, monitor functional dependencies.
-    fn run_handlers(
-        &mut self,
-        db: &Database,
-        scalars: &FxHashMap<String, Value>,
-        key_index: &FxHashMap<String, FxHashMap<Row, Row>>,
-    ) -> Result<TickOutput, TransducerError> {
+    /// handlers against the tick-start snapshot `snap`, apply effects,
+    /// monitor functional dependencies.
+    fn run_handlers(&mut self, mut snap: Snapshot<'_>) -> Result<TickOutput, TransducerError> {
         // 3: run handlers against the snapshot, recording effects. Tables
         // written anywhere this tick are collected for FD monitoring.
         // Serialized handlers additionally read committed mid-tick state
@@ -1661,7 +1692,7 @@ impl Transducer {
         // lazily on the first serialized message ever and updated
         // incrementally as effects land. An early error return leaves it
         // `None`; the next serialized message re-clones.
-        let mut groups: Vec<EffectGroup> = Vec::new();
+        let mut groups: Vec<EffectGroup<'_>> = Vec::new();
         let mut touched: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
         let mut out = TickOutput::default();
         let mut mirror: Option<TickMirror> = self.serial_mirror.take();
@@ -1671,7 +1702,7 @@ impl Transducer {
         let mut frame = Frame::default();
         let core = Arc::clone(&self.core);
         for (handler, consistency, compiled) in core.handlers.iter() {
-            let invariants = consistency.invariants.clone();
+            let invariants = consistency.invariants.as_slice();
             // Serializable handlers (and any handler carrying invariants)
             // execute *serially against current state*, each message seeing
             // the committed effects of the previous one — the enforcement
@@ -1694,52 +1725,49 @@ impl Transducer {
                         frame.replace(compiled.msg_id_slot, Some(Value::Int(msg.id as i64)));
                         let resp_start = out.responses.len();
                         let mut group = EffectGroup {
-                            handler: handler.name.clone(),
+                            handler: &handler.name,
                             message_id: Some(msg.id),
                             effects: Vec::new(),
-                            invariants: invariants.clone(),
+                            invariants,
                             inv_keys: compiled.capture_inv_keys(&frame),
                             resp_range: resp_start..resp_start,
                         };
-                        if serial {
-                            // Current view of scalars/table keys including
-                            // prior serialized commits of this tick,
-                            // maintained incrementally across messages.
+                        // A serialized message reads the current scalars
+                        // and table keys — prior serialized commits of
+                        // this tick included — through the mirror,
+                        // maintained incrementally across messages.
+                        let (scalars, key_index) = if serial {
                             let m = mirror.get_or_insert_with(|| TickMirror {
-                                key_index: key_index.clone(),
-                                scalars: scalars.clone(),
+                                key_index: snap.key_index.clone(),
+                                scalars: snap.scalars.clone(),
                             });
-                            self.exec_stmts(
-                                &compiled.body,
-                                &compiled.names,
-                                &mut frame,
-                                db,
-                                &m.scalars,
-                                &m.key_index,
-                                &mut group,
-                                &mut out,
-                                handler,
-                                Some(msg.id),
-                            )?;
-                            group.resp_range = resp_start..out.responses.len();
+                            (&m.scalars, &m.key_index)
+                        } else {
+                            (snap.scalars, snap.key_index)
+                        };
+                        let mut reads = Snapshot {
+                            db: snap.db,
+                            scalars,
+                            key_index,
+                            cache: &mut *snap.cache,
+                        };
+                        self.exec_stmts(
+                            &compiled.body,
+                            &compiled.names,
+                            &mut frame,
+                            &mut reads,
+                            &mut group,
+                            &mut out,
+                            handler,
+                            Some(msg.id),
+                        )?;
+                        group.resp_range = resp_start..out.responses.len();
+                        if serial {
                             // Commit immediately (transactionally if
                             // invariants are present).
                             touched.extend(touched_tables(&group.effects));
                             self.apply_group(group, &mut out, mirror.as_mut())?;
                         } else {
-                            self.exec_stmts(
-                                &compiled.body,
-                                &compiled.names,
-                                &mut frame,
-                                db,
-                                scalars,
-                                key_index,
-                                &mut group,
-                                &mut out,
-                                handler,
-                                Some(msg.id),
-                            )?;
-                            group.resp_range = resp_start..out.responses.len();
                             groups.push(group);
                         }
                         out.messages_processed += 1;
@@ -1757,27 +1785,18 @@ impl Transducer {
                         continue;
                     }
                     frame.reset(compiled.names.len());
-                    let fire = {
-                        let mut ctx = crate::eval::EvalCtx {
-                            program: &self.core.program,
-                            db,
-                            scalars,
-                            key_index,
-                            udfs: &mut self.udfs,
-                            scan_cache: &mut ScanCache::default(),
-                        };
-                        let cond = compiled.cond.as_ref().expect("condition trigger compiled");
-                        eval_cexpr(cond, &mut frame, &compiled.names, &mut ctx)?
-                            .as_bool()
-                            .unwrap_or(false)
-                    };
+                    let cond = compiled.cond.as_ref().expect("condition trigger compiled");
+                    let fire = self
+                        .eval(cond, &compiled.names, &mut frame, &mut snap)?
+                        .as_bool()
+                        .unwrap_or(false);
                     if fire {
                         let resp_start = out.responses.len();
                         let mut group = EffectGroup {
-                            handler: handler.name.clone(),
+                            handler: &handler.name,
                             message_id: None,
                             effects: Vec::new(),
-                            invariants: invariants.clone(),
+                            invariants,
                             inv_keys: compiled.capture_inv_keys(&frame),
                             resp_range: resp_start..resp_start,
                         };
@@ -1785,9 +1804,7 @@ impl Transducer {
                             &compiled.body,
                             &compiled.names,
                             &mut frame,
-                            db,
-                            scalars,
-                            key_index,
+                            &mut snap,
                             &mut group,
                             &mut out,
                             handler,
@@ -1881,10 +1898,8 @@ impl Transducer {
         stmts: &[CStmt],
         names: &[String],
         frame: &mut Frame,
-        db: &Database,
-        scalars: &FxHashMap<String, Value>,
-        key_index: &FxHashMap<String, FxHashMap<Row, Row>>,
-        group: &mut EffectGroup,
+        snap: &mut Snapshot<'_>,
+        group: &mut EffectGroup<'_>,
         out: &mut TickOutput,
         handler: &Handler,
         msg_id: Option<u64>,
@@ -1892,14 +1907,14 @@ impl Transducer {
         for stmt in stmts {
             match stmt {
                 CStmt::Merge(target, expr) => {
-                    let value = self.eval(expr, names, frame, db, scalars, key_index)?;
+                    let value = self.eval(expr, names, frame, snap)?;
                     match target {
                         CMergeTarget::Scalar(name) => {
                             group.effects.push(Effect::MergeScalar(name.clone(), value));
                         }
                         CMergeTarget::TableField { table, key, field } => {
-                            let (key, col) = self
-                                .resolve_field(table, key, field, names, frame, db, scalars, key_index)?;
+                            let (key, col) =
+                                self.resolve_field(table, key, field, names, frame, snap)?;
                             group.effects.push(Effect::MergeField {
                                 table: table.clone(),
                                 key,
@@ -1910,7 +1925,7 @@ impl Transducer {
                     }
                 }
                 CStmt::Assign(target, expr) => {
-                    let value = self.eval(expr, names, frame, db, scalars, key_index)?;
+                    let value = self.eval(expr, names, frame, snap)?;
                     match target {
                         CAssignTarget::Scalar(name) => {
                             group
@@ -1918,8 +1933,8 @@ impl Transducer {
                                 .push(Effect::AssignScalar(name.clone(), value));
                         }
                         CAssignTarget::TableField { table, key, field } => {
-                            let (key, col) = self
-                                .resolve_field(table, key, field, names, frame, db, scalars, key_index)?;
+                            let (key, col) =
+                                self.resolve_field(table, key, field, names, frame, snap)?;
                             group.effects.push(Effect::AssignField {
                                 table: table.clone(),
                                 key,
@@ -1930,20 +1945,22 @@ impl Transducer {
                     }
                 }
                 CStmt::Insert { table, values } => {
-                    let decl = self.core.program
+                    let expected = self
+                        .core
+                        .program
                         .table(table)
                         .ok_or_else(|| TransducerError::Unknown(table.clone()))?
-                        .clone();
-                    if values.len() != decl.arity() {
+                        .arity();
+                    if values.len() != expected {
                         return Err(TransducerError::InsertArity {
                             table: table.clone(),
                             given: values.len(),
-                            expected: decl.arity(),
+                            expected,
                         });
                     }
                     let row: Row = values
                         .iter()
-                        .map(|e| self.eval(e, names, frame, db, scalars, key_index))
+                        .map(|e| self.eval(e, names, frame, snap))
                         .collect::<Result<_, _>>()?;
                     group.effects.push(Effect::InsertRow {
                         table: table.clone(),
@@ -1951,7 +1968,7 @@ impl Transducer {
                     });
                 }
                 CStmt::Delete { table, key } => {
-                    let k = self.eval(key, names, frame, db, scalars, key_index)?;
+                    let k = self.eval(key, names, frame, snap)?;
                     let key_row = key_row_of(k);
                     group.effects.push(Effect::DeleteRow {
                         table: table.clone(),
@@ -1959,7 +1976,7 @@ impl Transducer {
                     });
                 }
                 CStmt::Send { mailbox, select } => {
-                    let rows = self.eval_select_rows(select, names, frame, db, scalars, key_index)?;
+                    let rows = self.eval_select_rows(select, names, frame, snap)?;
                     for row in rows {
                         out.sends.push(SendOut {
                             mailbox: mailbox.clone(),
@@ -1970,7 +1987,7 @@ impl Transducer {
                     }
                 }
                 CStmt::Return(expr) => {
-                    let value = self.eval(expr, names, frame, db, scalars, key_index)?;
+                    let value = self.eval(expr, names, frame, snap)?;
                     if let Some(id) = msg_id {
                         out.responses.push(Response {
                             handler: handler.name.clone(),
@@ -1987,13 +2004,11 @@ impl Transducer {
                 }
                 CStmt::If { cond, then, els } => {
                     let c = self
-                        .eval(cond, names, frame, db, scalars, key_index)?
+                        .eval(cond, names, frame, snap)?
                         .as_bool()
                         .unwrap_or(false);
                     let branch = if c { then } else { els };
-                    self.exec_stmts(
-                        branch, names, frame, db, scalars, key_index, group, out, handler, msg_id,
-                    )?;
+                    self.exec_stmts(branch, names, frame, snap, group, out, handler, msg_id)?;
                 }
                 CStmt::ForEach { select, vars, stmts } => {
                     // Evaluate the comprehension (its projection is the
@@ -2005,16 +2020,14 @@ impl Transducer {
                     // `Vec` is allocated. The matches are fully
                     // materialized *before* any nested statement runs,
                     // preserving the reference's effect and UDF ordering.
-                    let rows = self.eval_select_rows(select, names, frame, db, scalars, key_index)?;
+                    let rows = self.eval_select_rows(select, names, frame, snap)?;
                     for row in rows {
                         let mark = frame.save_mark();
                         for (&s, v) in vars.iter().zip(row) {
                             frame.save_replace(s, Some(v));
                         }
-                        let run = self.exec_stmts(
-                            stmts, names, frame, db, scalars, key_index, group, out, handler,
-                            msg_id,
-                        );
+                        let run =
+                            self.exec_stmts(stmts, names, frame, snap, group, out, handler, msg_id);
                         frame.restore_saved(mark);
                         run?;
                     }
@@ -2027,24 +2040,27 @@ impl Transducer {
         Ok(())
     }
 
+    /// The evaluation context of one handler expression: the snapshot with
+    /// its scan indexes, and this instance's program and UDFs.
+    fn ctx<'a>(&'a mut self, snap: &'a mut Snapshot<'_>) -> crate::eval::EvalCtx<'a> {
+        crate::eval::EvalCtx {
+            program: &self.core.program,
+            db: snap.db,
+            scalars: snap.scalars,
+            key_index: snap.key_index,
+            udfs: &mut self.udfs,
+            scan_cache: snap.cache,
+        }
+    }
+
     fn eval(
         &mut self,
         expr: &CExpr,
         names: &[String],
         frame: &mut Frame,
-        db: &Database,
-        scalars: &FxHashMap<String, Value>,
-        key_index: &FxHashMap<String, FxHashMap<Row, Row>>,
+        snap: &mut Snapshot<'_>,
     ) -> Result<Value, TransducerError> {
-        let mut ctx = crate::eval::EvalCtx {
-            program: &self.core.program,
-            db,
-            scalars,
-            key_index,
-            udfs: &mut self.udfs,
-            scan_cache: &mut ScanCache::default(),
-        };
-        Ok(eval_cexpr(expr, frame, names, &mut ctx)?)
+        Ok(eval_cexpr(expr, frame, names, &mut self.ctx(snap))?)
     }
 
     fn eval_select_rows(
@@ -2052,23 +2068,12 @@ impl Transducer {
         select: &CSelect,
         names: &[String],
         frame: &mut Frame,
-        db: &Database,
-        scalars: &FxHashMap<String, Value>,
-        key_index: &FxHashMap<String, FxHashMap<Row, Row>>,
+        snap: &mut Snapshot<'_>,
     ) -> Result<Vec<Row>, TransducerError> {
-        let mut ctx = crate::eval::EvalCtx {
-            program: &self.core.program,
-            db,
-            scalars,
-            key_index,
-            udfs: &mut self.udfs,
-            scan_cache: &mut ScanCache::default(),
-        };
-        Ok(eval_cselect(select, frame, names, &mut ctx)?)
+        Ok(eval_cselect(select, frame, names, &mut self.ctx(snap))?)
     }
 
     /// Resolve a `table[key].field` target to (key row, column index).
-    #[allow(clippy::too_many_arguments)]
     fn resolve_field(
         &mut self,
         table: &str,
@@ -2076,9 +2081,7 @@ impl Transducer {
         field: &str,
         names: &[String],
         frame: &mut Frame,
-        db: &Database,
-        scalars: &FxHashMap<String, Value>,
-        key_index: &FxHashMap<String, FxHashMap<Row, Row>>,
+        snap: &mut Snapshot<'_>,
     ) -> Result<(Row, usize), TransducerError> {
         let decl = self.core.program
             .table(table)
@@ -2096,7 +2099,7 @@ impl Transducer {
                 column: field.to_string(),
             });
         }
-        let k = self.eval(key, names, frame, db, scalars, key_index)?;
+        let k = self.eval(key, names, frame, snap)?;
         Ok((key_row_of(k), col))
     }
 
@@ -2105,7 +2108,7 @@ impl Transducer {
     /// rollbacks included.
     fn apply_group(
         &mut self,
-        mut group: EffectGroup,
+        mut group: EffectGroup<'_>,
         out: &mut TickOutput,
         mut mirror: Option<&mut TickMirror>,
     ) -> Result<(), TransducerError> {
@@ -2205,7 +2208,7 @@ impl Transducer {
     /// and record a warning. The group's recorded response range makes
     /// this O(|its own replies|) — abort-heavy ticks no longer rescan
     /// every response per rolled-back group.
-    fn reject_group(&mut self, group: &EffectGroup, out: &mut TickOutput) {
+    fn reject_group(&mut self, group: &EffectGroup<'_>, out: &mut TickOutput) {
         if let Some(id) = group.message_id {
             for r in &mut out.responses[group.resp_range.clone()] {
                 if r.message_id == id && r.handler == group.handler {
@@ -2221,7 +2224,7 @@ impl Transducer {
 
     /// Referential-integrity preconditions, evaluated on the pre-state
     /// against the key values captured at group creation.
-    fn preconditions_hold(&self, group: &EffectGroup) -> Result<bool, TransducerError> {
+    fn preconditions_hold(&self, group: &EffectGroup<'_>) -> Result<bool, TransducerError> {
         for (inv, key) in group.invariants.iter().zip(&group.inv_keys) {
             if let Invariant::HasKey { table, .. } = inv {
                 let key_row = key_row_of(key.clone());
@@ -2239,8 +2242,8 @@ impl Transducer {
     }
 
     /// Value-range postconditions, evaluated on the post-state.
-    fn postconditions_hold(&self, group: &EffectGroup) -> Result<bool, TransducerError> {
-        for inv in &group.invariants {
+    fn postconditions_hold(&self, group: &EffectGroup<'_>) -> Result<bool, TransducerError> {
+        for inv in group.invariants {
             if let Invariant::NonNegative(scalar) = inv {
                 let v = self
                     .state

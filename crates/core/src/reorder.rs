@@ -13,8 +13,9 @@
 //! therefore **reachability-dependent**: reordering a rule's atoms (for
 //! sideways information passing, join reordering, or counting-based
 //! maintenance) could surface an error the source order never hit, or
-//! vice versa. That is exactly why ROADMAP item 3 gates those
-//! optimizations on an error-semantics story.
+//! vice versa. That is exactly why the evaluator gates those
+//! optimizations on an error-semantics story (see "Sideways information
+//! passing" in the module docs of [`crate::eval`]).
 //!
 //! This module discharges the gate statically. A rule is *reorder-safe*
 //! when:

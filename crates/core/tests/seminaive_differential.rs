@@ -1046,6 +1046,243 @@ fn precondition_failure_aborts_without_touching_state() {
     assert_eq!(app.row("acct", &[iv(1)]), Some(&vec![iv(1), iv(9)]));
 }
 
+// ---------------------------------------------------------------------
+// Steady state builds no index: handlers borrow the engine's scan cache,
+// and a compaction renumbers the indexes it finds instead of dropping them.
+// ---------------------------------------------------------------------
+
+/// The contact-tracing shape every maintenance strategy has a view in
+/// (counting `contact_pairs`, DRed `transitive`, counting-over-recursion
+/// `exposed`, delta-keyed `reach`), each view with a keyed reader — plus
+/// `notify`, which sends `transitive(pid, _)` twice: once through the
+/// probed `(transitive, [0])` index and once as a full scan with a guard.
+fn contacts_program() -> Program {
+    use hydro_core::value::LatticeKind;
+    let keyed_read = |view: &str, out: &str| {
+        vec![ret(collect_set(select(
+            vec![scan(view, &["pid", out])],
+            vec![v(out)],
+        )))]
+    };
+    let ok = || ret(Expr::Const(Value::ok()));
+    ProgramBuilder::new()
+        .table(
+            "people",
+            vec![
+                ("pid", atom()),
+                ("contacts", lat(LatticeKind::SetUnion)),
+                ("covid", lat(LatticeKind::BoolOr)),
+            ],
+            &["pid"],
+            None,
+        )
+        .rule(
+            "contact_pairs",
+            vec![v("p"), v("p1")],
+            vec![scan("people", &["p", "cs", "_"]), flatten("p1", v("cs"))],
+        )
+        .rule(
+            "transitive",
+            vec![v("p"), v("p1")],
+            vec![scan("contact_pairs", &["p", "p1"])],
+        )
+        .rule(
+            "transitive",
+            vec![v("p"), v("p2")],
+            vec![
+                scan("transitive", &["p", "p1"]),
+                scan("contact_pairs", &["p1", "p2"]),
+            ],
+        )
+        .rule(
+            "exposed",
+            vec![v("p"), v("p2")],
+            vec![
+                scan("transitive", &["p", "p2"]),
+                scan("people", &["p2", "_", "sick"]),
+                guard(v("sick")),
+            ],
+        )
+        .agg_rule(
+            "reach",
+            vec![v("p")],
+            AggFun::Count,
+            v("p2"),
+            vec![scan("transitive", &["p", "p2"])],
+        )
+        .on(
+            "add_person",
+            &["pid"],
+            vec![
+                insert(
+                    "people",
+                    vec![v("pid"), Expr::Const(Value::empty_set()), b(false)],
+                ),
+                ok(),
+            ],
+        )
+        .on(
+            "add_contact",
+            &["a", "b"],
+            vec![
+                merge_field("people", v("a"), "contacts", v("b")),
+                merge_field("people", v("b"), "contacts", v("a")),
+                ok(),
+            ],
+        )
+        .on(
+            "remove_person",
+            &["pid"],
+            vec![delete("people", v("pid")), ok()],
+        )
+        .on(
+            "diagnosed",
+            &["pid"],
+            vec![merge_field("people", v("pid"), "covid", b(true)), ok()],
+        )
+        .on("trace", &["pid"], keyed_read("transitive", "p2"))
+        .on("exposed_q", &["pid"], keyed_read("exposed", "p2"))
+        .on("reach_q", &["pid"], keyed_read("reach", "n"))
+        .on(
+            "notify",
+            &["pid"],
+            vec![
+                send(
+                    "probed",
+                    select(vec![scan("transitive", &["pid", "p2"])], vec![v("p2")]),
+                ),
+                send(
+                    "scanned",
+                    select(
+                        vec![
+                            scan("transitive", &["p", "p2"]),
+                            guard(eq(v("p"), v("pid"))),
+                        ],
+                        vec![v("p2")],
+                    ),
+                ),
+            ],
+        )
+        .build()
+}
+
+/// Cluster churn on [`contacts_program`], the benchmark's `view_churn`
+/// traffic in small: every tick the oldest cluster of four leaves whole, a
+/// new one arrives, the one that arrived the tick before is chained up, two
+/// settled clusters are read (`trace`, and `exposed_q` or `reach_q`), one is
+/// `notify`-ed, and every 8th tick someone is diagnosed.
+///
+/// A work count, not a clock: once every access path has been probed once
+/// (the warm-up), `Transducer::index_builds` must never move again — a
+/// reader that indexed a view per request, or a compaction that dropped the
+/// indexes it renumbered under, would show as growth. Each relation holds
+/// under 4 × 65 rows here, so `Relation::should_compact` fires at its floor
+/// of 65 tombstones; `people` takes ≈ 40 a tick (4 leavers, 4 rewritten
+/// contact sets, each rolled back and forward by its two counting
+/// consumers), `contact_pairs` 18 (6 retractions, rolled back and forward
+/// by the DRed unit) and `transitive` ≈ 60, so the 200 measured ticks hold
+/// some 100, 45 and 190 compactions of the three with reads in flight.
+///
+/// Replies and state equal the fresh semi-naive engine's tick by tick;
+/// sends equal them as multisets (the engines derive rows in different
+/// orders), and within the incremental engine the rows sent through the
+/// probed, repeatedly renumbered index equal the full scan's, *in order*.
+#[test]
+fn steady_state_churn_builds_no_index_and_keeps_scan_order() {
+    const CLUSTER: i64 = 4;
+    const RESIDENT: i64 = 16; // clusters
+    const WARM_UP: i64 = 32;
+    const MEASURED: i64 = 200;
+    let program = contacts_program();
+    let mut incr = Transducer::new(program.clone()).unwrap();
+    let mut fresh = Transducer::new(program).unwrap();
+    fresh.set_eval_mode(EvalMode::FreshSemiNaive);
+
+    let member = |cluster: i64, i: i64| Value::Int(1 + cluster * CLUSTER + i);
+    let mut settled_builds = 0;
+    let mut ordered_rows = 0;
+    for t in 0..WARM_UP + MEASURED {
+        let mut batch: Vec<Op> = Vec::new();
+        if t >= RESIDENT {
+            batch.extend((0..CLUSTER).map(|i| ("remove_person", vec![member(t - RESIDENT, i)])));
+        }
+        batch.extend((0..CLUSTER).map(|i| ("add_person", vec![member(t, i)])));
+        if t >= 1 {
+            batch.extend(
+                (0..CLUSTER - 1)
+                    .map(|i| ("add_contact", vec![member(t - 1, i), member(t - 1, i + 1)])),
+            );
+        }
+        if t >= 8 {
+            let who = t % CLUSTER;
+            batch.push(("trace", vec![member(t - 3, who)]));
+            batch.push((
+                ["exposed_q", "reach_q"][(t % 2) as usize],
+                vec![member(t - 6, who)],
+            ));
+            batch.push(("notify", vec![member(t - 8, who)]));
+            if t % 8 == 0 {
+                batch.push(("diagnosed", vec![member(t - 5, who)]));
+            }
+        }
+        for (mailbox, row) in &batch {
+            incr.enqueue_ok(mailbox, row.clone());
+            fresh.enqueue_ok(mailbox, row.clone());
+        }
+        let a = incr.tick().unwrap();
+        let b = fresh.tick().unwrap();
+        assert_eq!(a.responses, b.responses, "tick {t}: replies disagree");
+        assert_eq!(a.warnings, b.warnings, "tick {t}");
+        assert_eq!(incr.state(), fresh.state(), "tick {t}: states disagree");
+        let sent = |out: &TickOutput, mailbox: &str| -> Vec<Vec<Value>> {
+            let rows = out.sends.iter().filter(|s| s.mailbox == mailbox);
+            rows.map(|s| s.row.clone()).collect()
+        };
+        let sorted = |mut rows: Vec<Vec<Value>>| {
+            rows.sort();
+            rows
+        };
+        assert_eq!(
+            sent(&a, "probed"),
+            sent(&a, "scanned"),
+            "tick {t}: the index enumerates rows in another order than the relation"
+        );
+        assert_eq!(
+            sorted(sent(&a, "probed")),
+            sorted(sent(&b, "probed")),
+            "tick {t}"
+        );
+        assert_eq!(
+            sorted(sent(&a, "scanned")),
+            sorted(sent(&b, "scanned")),
+            "tick {t}"
+        );
+        if t >= WARM_UP {
+            ordered_rows += sent(&a, "probed").len();
+        }
+
+        if t + 1 == WARM_UP {
+            settled_builds = incr.index_builds();
+        } else if t >= WARM_UP {
+            assert_eq!(
+                incr.index_builds(),
+                settled_builds,
+                "tick {t}: an index was built from scratch in the steady state"
+            );
+        }
+    }
+    // The program's seven access paths, each built once: `people[0]`,
+    // `contact_pairs[0]` and `[0, 1]`, `transitive[0]` and `[1]` for the
+    // rules (and `trace`), `exposed[0]` and `reach[0]` for readers alone.
+    assert_eq!(settled_builds, 7);
+    assert_eq!(ordered_rows as i64, MEASURED * CLUSTER);
+    assert_eq!(
+        fresh.index_builds(),
+        0,
+        "fresh ticks keep no evaluation state"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

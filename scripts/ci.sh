@@ -44,13 +44,23 @@ echo "== deletion-maintenance differential suites =="
 # unit-recompute vs fresh) proptests over graph churn, aggregate-group
 # churn, and rollback interleavings; the DRed alternative-derivation
 # scenario; SIP gating on the static reorder proof (a unit test of
-# `eval/plan.rs`, matched by name); and the N∈{1,2,4} sharded churn runs.
+# `eval/plan.rs`, matched by name); the N∈{1,2,4} sharded churn runs; and
+# the persistent-index pins — the steady-state work count (no index built
+# after warm-up across 200 churn ticks of reads and compactions, scan
+# order through a renumbered index included) and the renumbering
+# compaction's unit and property tests in `eval/{relation,scan_cache}.rs`.
 cargo test -q -p hydro-core --test seminaive_differential -- \
   counting_dred_agree_with_recompute_and_fresh \
   counting_agg_groups_agree_with_recompute_and_fresh \
   bank_counting_agrees_with_recompute_and_fresh \
-  dred_keeps_rows_with_alternative_derivations
+  dred_keeps_rows_with_alternative_derivations \
+  steady_state_churn_builds_no_index_and_keeps_scan_order
 cargo test -q -p hydro-core --lib sip_and_check_queries_are_gated_on_reorder_safety
+cargo test -q -p hydro-core --lib -- \
+  compact_returns_the_old_to_new_position_table \
+  compaction_preserves_rows_order_and_positions \
+  compaction_remaps_posting_lists_without_rebuilding \
+  remapped_indexes_equal_fresh_ones
 cargo test -q -p hydro-analysis --test sharded_differential sharded_churn_matches_single
 
 echo

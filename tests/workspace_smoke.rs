@@ -3,9 +3,11 @@
 //! `hydro_core::eval`'s maintenance paths, so a broken counting, aggregate,
 //! DRed or recompute strategy used to pass tier-1. This drives a
 //! contact-tracing program — one view per maintenance strategy, one
-//! reader per view — through cluster churn and checks, every tick, that
-//! the incremental engine, the naive fresh engine and a two-shard driver
-//! give the same replies and hold the same state.
+//! reader per view — through cluster churn, long enough that every probed
+//! relation is compacted (renumbered under its live indexes) several times,
+//! and checks, every tick, that the incremental engine, the naive fresh
+//! engine and a two-shard driver give the same replies and hold the same
+//! state.
 
 use hydro::analysis::partition::partition;
 use hydro::lang::parse_program;
@@ -127,8 +129,22 @@ fn engines_and_shards_agree_under_cluster_churn() {
     let mut sharded =
         ShardedTransducer::new(program.clone(), routing, 2).expect("program validates");
 
+    // How long. `Relation::should_compact` fires once a relation holds more
+    // than 64 tombstones and they are at least a quarter of its live rows;
+    // every relation here stays under ~65 live rows, so the floor of 65
+    // tombstones decides. A busy tick retracts 6 `contact_pairs` rows (a
+    // leaving cluster's 5, a lone leaver's 1) and adds the 6 of the cluster
+    // being linked, and the DRed unit above rolls that delta back and forward
+    // again: 18 tombstones a busy tick, 4 busy ticks in 5, so `contact_pairs`
+    // — the slowest of the three relations the rules probe — compacts every
+    // 5th tick from tick 11, `people` every 2nd or 3rd and `transitive`
+    // nearly every tick. The slowest relation a *handler* probes is `reach`
+    // (a few replaced group rows a tick against the same floor): it compacts
+    // in ticks 26 and 47, which sets the length. Every one of those
+    // compactions is followed, in the same tick, by reads through the
+    // renumbered indexes — the handlers borrow the engine's own.
     let mut nonempty_reads = 0;
-    for t in 0..32 {
+    for t in 0..48 {
         for (mailbox, args) in script(t) {
             let row: Vec<Value> = args.into_iter().map(Value::Int).collect();
             let id = incremental
