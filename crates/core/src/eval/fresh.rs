@@ -120,7 +120,7 @@ fn naive_fixpoint(env: &mut UnitEnv<'_>) -> Result<(), EvalError> {
         }
         let mut changed = false;
         for (head, row) in derived {
-            changed |= env.db.entry(head.to_string()).or_default().insert(row);
+            changed |= env.db.entry(head.to_string()).or_default().insert(row).is_some();
         }
         if !changed {
             return Ok(());

@@ -5,21 +5,32 @@
 //! engine), the insert-only path, counting, delta-keyed aggregates, and
 //! each phase of DRed — is built from two evaluation primitives on
 //! [`UnitEnv`]: [`UnitEnv::full_round`] (rules in full, no delta atom) and
-//! [`UnitEnv::delta_round`] (one body atom constrained to a delta
-//! relation, fed by the unit's changed inputs or by the rows the previous
-//! round landed). [`UnitEnv::fixpoint`] alternates delta rounds with a
-//! landing step until nothing new lands. The sinks are what a strategy
-//! does with the derived rows: insert them into their head
-//! ([`UnitEnv::land`]), or collect signed weights
-//! ([`UnitEnv::signed_expansion`]) and fold those into support counts
-//! ([`UnitEnv::counting`]) or group multisets ([`UnitEnv::agg_counting`]).
+//! [`UnitEnv::delta_round`] (one body atom constrained to delta rows, fed
+//! by the unit's changed inputs or by the rows the previous round landed).
+//! [`UnitEnv::fixpoint`] alternates delta rounds with a landing step until
+//! nothing new lands. The sinks are what a strategy does with the derived
+//! rows: insert them into their head ([`UnitEnv::land`]), or collect
+//! signed weights ([`UnitEnv::signed_expansion`]) and fold those into
+//! support counts ([`UnitEnv::counting`]) or group multisets
+//! ([`UnitEnv::agg_counting`]).
+//!
+//! **No roll-back.** A unit never writes its inputs. Every relation holds
+//! its pre-tick state and its current one at once (the commit watermark
+//! of [`Relation`](super::relation::Relation)), so where the algebra reads
+//! an input as it was before the tick — the mixed-state walk of
+//! `signed_expansion`, DRed's over-delete and re-derive phases — the unit
+//! sets that input's [`View`] and sets it back. Heads are written in
+//! place, and what a head lost stays stored until `EvalState::evaluate`
+//! commits every changed relation at the end of the tick, the one place
+//! tombstones are reclaimed. A head's delta is therefore its
+//! [`uncommitted`](super::relation::Relation::uncommitted) change.
 //!
 //! Units taking a delta path never call UDFs (a UDF-calling unit is
 //! volatile and re-derives), so only [`UnitEnv::rederive`] has a
 //! stateful-UDF call order to preserve.
 
 use super::plan::{EvalUnit, RuleSet};
-use super::relation::{Database, RelDelta, Relation, Row};
+use super::relation::{Database, RelDelta, Row, View};
 use super::scan_cache::ScanCache;
 use super::slots::Frame;
 use super::{int_of, EvalCtx, EvalError, UdfHost};
@@ -28,8 +39,8 @@ use crate::value::Value;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::hash_map::Entry;
 
-/// What one round landed, per head: the next round's delta relations.
-type Wave = FxHashMap<String, Relation>;
+/// What one round landed, per head: the next round's delta rows.
+type Wave = FxHashMap<String, Vec<Row>>;
 
 /// A strategy's result: the net change of each head that changed.
 type HeadDeltas = Vec<(String, RelDelta)>;
@@ -40,7 +51,7 @@ pub(super) struct UnitEnv<'a> {
     pub(super) ruleset: &'a RuleSet,
     pub(super) program: &'a Program,
     pub(super) db: &'a mut Database,
-    /// Scan indexes over `db`; every mutation of `db` below reports to it.
+    /// Scan indexes over `db`; every append to `db` below reports to it.
     pub(super) cache: &'a mut ScanCache,
     pub(super) scalars: &'a FxHashMap<String, Value>,
     pub(super) key_index: &'a FxHashMap<String, FxHashMap<Row, Row>>,
@@ -64,30 +75,6 @@ enum Deltas<'a> {
     /// The rows the previous round landed, through the unit's same-SCC
     /// recursive scans.
     Wave(&'a Wave),
-}
-
-/// Remove then insert rows of one relation, keeping the scan indexes
-/// current. `compact` reclaims tombstones afterwards if the relation has
-/// become sparse — off for a temporary rollback whose forward
-/// re-application follows within the same unit evaluation.
-pub(super) fn apply_rows(
-    db: &mut Database,
-    cache: &mut ScanCache,
-    rel: &str,
-    remove: &[Row],
-    insert: &[Row],
-    compact: bool,
-) {
-    let r = db.entry(rel.to_string()).or_default();
-    for row in remove {
-        cache.remove_from(rel, r, row);
-    }
-    for row in insert {
-        cache.insert_into(rel, r, row);
-    }
-    if compact {
-        cache.compact(rel, r);
-    }
 }
 
 /// The unit's changed input relations as `(input_variants index, delta)`,
@@ -139,6 +126,28 @@ impl<'a> UnitEnv<'a> {
         (ctx, self.frame)
     }
 
+    /// Read the changed inputs `dirty` in `view` from now on.
+    fn view_inputs(&mut self, dirty: &[(usize, &RelDelta)], view: View) {
+        for &(iv, _) in dirty {
+            if let Some(rel) = self.db.get_mut(&self.unit.input_variants[iv].0) {
+                rel.set_view(view);
+            }
+        }
+    }
+
+    /// The net change of each head since the last commit: everything this
+    /// unit did to it this tick, since nothing else writes its heads.
+    fn head_deltas(&self) -> HeadDeltas {
+        self.unit
+            .heads
+            .iter()
+            .filter_map(|h| {
+                let delta = self.db.get(h)?.uncommitted();
+                (!delta.is_empty()).then(|| (h.clone(), delta))
+            })
+            .collect()
+    }
+
     // -----------------------------------------------------------------
     // The kernel.
     // -----------------------------------------------------------------
@@ -165,9 +174,9 @@ impl<'a> UnitEnv<'a> {
     }
 
     /// Evaluate one round of delta variants — a rule with one scan
-    /// constrained to a delta relation while every other atom ranges over
-    /// the full relations — handing each derived row to `emit` with its
-    /// rule slot and the delta's weight.
+    /// constrained to delta rows while every other atom ranges over the
+    /// full relations — handing each derived row to `emit` with its rule
+    /// slot and the delta's weight.
     ///
     /// Sideways information passing: with `sip`, where the static reorder
     /// proof licenses it, a variant runs with the delta atom hoisted first
@@ -182,14 +191,14 @@ impl<'a> UnitEnv<'a> {
     ) -> Result<(), EvalError> {
         let (unit, ruleset) = (self.unit, self.ruleset);
         let (mut ctx, frame) = self.ctx();
-        let mut variant = |slot: usize, pos: usize, drel: &Relation, weight: i64| {
+        let mut variant = |slot: usize, pos: usize, rows: &[Row], weight: i64| {
             // The one place a delta variant's atom order is chosen.
             let rule = unit.rule(ruleset, slot);
             let (query, dpos) = match rule.sip.get(&pos) {
                 Some(q) if sip => (q, 0),
                 _ => (&rule.query, pos),
             };
-            for row in query.eval(Some((dpos, drel)), true, frame, &mut ctx)? {
+            for row in query.eval(Some((dpos, rows)), true, frame, &mut ctx)? {
                 emit(slot, row, weight)?;
             }
             Ok(())
@@ -202,17 +211,15 @@ impl<'a> UnitEnv<'a> {
                 skip,
             } => {
                 for &(iv, d) in dirty {
-                    let half = |on: bool, rows: &[Row], weight: i64| {
-                        (on && !rows.is_empty())
-                            .then(|| (Relation::from_rows(rows.iter().cloned()), weight))
-                    };
-                    let halves = [half(added, &d.added, 1), half(removed, &d.removed, -1)];
+                    let halves = [(added, &d.added, 1), (removed, &d.removed, -1)];
                     for &(slot, pos) in &unit.input_variants[iv].1 {
                         if skip.contains(&slot) {
                             continue;
                         }
-                        for (drel, weight) in halves.iter().flatten() {
-                            variant(slot, pos, drel, *weight)?;
+                        for &(on, rows, weight) in &halves {
+                            if on && !rows.is_empty() {
+                                variant(slot, pos, rows, weight)?;
+                            }
                         }
                     }
                 }
@@ -220,8 +227,8 @@ impl<'a> UnitEnv<'a> {
             Deltas::Wave(wave) => {
                 for (slot, scans) in unit.rec_variants.iter().enumerate() {
                     for (pos, rel) in scans {
-                        if let Some(drel) = wave.get(rel) {
-                            variant(slot, *pos, drel, 1)?;
+                        if let Some(rows) = wave.get(rel) {
+                            variant(slot, *pos, rows, 1)?;
                         }
                     }
                 }
@@ -265,15 +272,14 @@ impl<'a> UnitEnv<'a> {
     // -----------------------------------------------------------------
 
     /// Insert a round's derivations into their heads. Rows new to their
-    /// head are reported to `on_new` and form the next wave.
-    fn land(&mut self, derived: Vec<(usize, Row)>, mut on_new: impl FnMut(&str, &Row)) -> Wave {
+    /// head form the next wave.
+    fn land(&mut self, derived: Vec<(usize, Row)>) -> Wave {
         let mut next = Wave::default();
         for (slot, row) in derived {
             let head = &self.unit.rule(self.ruleset, slot).head;
             let rel = self.db.entry(head.clone()).or_default();
             if self.cache.insert_into(head, rel, &row) {
-                on_new(head, &row);
-                next.entry(head.clone()).or_default().insert(row);
+                next.entry(head.clone()).or_default().push(row);
             }
         }
         next
@@ -290,7 +296,7 @@ impl<'a> UnitEnv<'a> {
             derived.push((slot, row));
             Ok(())
         })?;
-        self.fixpoint(derived, false, |env, derived| env.land(derived, |_, _| {}))
+        self.fixpoint(derived, false, Self::land)
     }
 
     /// Evaluate the unit's aggregation rules and land their rows.
@@ -309,24 +315,15 @@ impl<'a> UnitEnv<'a> {
         Ok(())
     }
 
-    /// `Recompute`: empty the heads, re-derive, and diff old against new so
-    /// downstream units see what actually changed.
+    /// `Recompute`: remove every head row, re-derive, and report what
+    /// moved. A row derived again revives in its old slot, so survivors
+    /// keep their positions and every index over the heads stays valid.
     pub(super) fn recompute(&mut self) -> Result<HeadDeltas, EvalError> {
-        let unit = self.unit;
-        let mut olds: Vec<Relation> = Vec::with_capacity(unit.heads.len());
-        for h in &unit.heads {
-            olds.push(std::mem::take(self.db.entry(h.clone()).or_default()));
-            self.cache.invalidate(h);
+        for h in &self.unit.heads {
+            self.db.entry(h.clone()).or_default().remove_all();
         }
         self.rederive()?;
-        let mut out = HeadDeltas::new();
-        for (h, old) in unit.heads.iter().zip(olds) {
-            let delta = RelDelta::diff(&old, &self.db[h]);
-            if !delta.is_empty() {
-                out.push((h.clone(), delta));
-            }
-        }
-        Ok(out)
+        Ok(self.head_deltas())
     }
 
     /// `Incremental`: cross-tick semi-naive. Constraining one atom to an
@@ -341,17 +338,8 @@ impl<'a> UnitEnv<'a> {
     ) -> Result<HeadDeltas, EvalError> {
         let dirty = dirty_inputs(self.unit, changed);
         let seed = self.derive(added_rows(&dirty), true)?;
-        let mut inserted: FxHashMap<String, RelDelta> = FxHashMap::default();
-        self.fixpoint(seed, true, |env, derived| {
-            env.land(derived, |head, row| {
-                inserted
-                    .entry(head.to_string())
-                    .or_default()
-                    .added
-                    .push(row.clone());
-            })
-        })?;
-        Ok(inserted.into_iter().collect())
+        self.fixpoint(seed, true, Self::land)?;
+        Ok(self.head_deltas())
     }
 
     // -----------------------------------------------------------------
@@ -361,13 +349,13 @@ impl<'a> UnitEnv<'a> {
     /// The signed change, per rule slot, in how many body assignments
     /// derive each row, between the unit's pre-tick and current inputs.
     ///
-    /// The inputs are first restored to their pre-tick state (where `init`
-    /// runs, to build lazily created state from it). The mixed-state walk
-    /// then takes the changed relations in a fixed order — relation *i*'s
+    /// The changed inputs are first read in their [`View::Old`] state
+    /// (where `init` runs, to build lazily created state from it). The
+    /// mixed-state walk then takes them in a fixed order — relation *i*'s
     /// signed delta variants run with the relations before it in the new
     /// state and the relations after it in the old state, after which
-    /// relation *i* advances to its new state — so each derivation's net
-    /// weight change is counted exactly once.
+    /// relation *i* is read in its new state — so each derivation's net
+    /// weight change is counted exactly once. No input is written.
     fn signed_expansion(
         &mut self,
         changed: &FxHashMap<String, RelDelta>,
@@ -376,10 +364,7 @@ impl<'a> UnitEnv<'a> {
         let unit = self.unit;
         let dirty = dirty_inputs(unit, changed);
         let recount = self_join_slots(unit, &dirty);
-        for &(iv, d) in &dirty {
-            let rel = &unit.input_variants[iv].0;
-            apply_rows(self.db, self.cache, rel, &d.added, &d.removed, false);
-        }
+        self.view_inputs(&dirty, View::Old);
         init(self)?;
 
         let mut weights = vec![FxHashMap::default(); unit.slots()];
@@ -397,9 +382,7 @@ impl<'a> UnitEnv<'a> {
                 skip: &recount,
             };
             self.delta_round(deltas, true, &mut add)?;
-            let &(iv, d) = input;
-            let rel = &unit.input_variants[iv].0;
-            apply_rows(self.db, self.cache, rel, &d.removed, &d.added, true);
+            self.view_inputs(std::slice::from_ref(input), View::New);
         }
         // New-state half of the self-join recounts.
         self.full_round(recount.iter().copied(), |slot, row| add(slot, row, 1))?;
@@ -468,11 +451,10 @@ impl<'a> UnitEnv<'a> {
                     if self.cache.insert_into(h, rel, &row) {
                         delta.added.push(row);
                     }
-                } else if before > 0 && after <= 0 && self.cache.remove_from(h, rel, &row) {
+                } else if before > 0 && after <= 0 && rel.remove(&row).is_some() {
                     delta.removed.push(row);
                 }
             }
-            self.cache.compact(h, rel);
             if !delta.is_empty() {
                 out.push((h.clone(), delta));
             }
@@ -550,7 +532,7 @@ impl<'a> UnitEnv<'a> {
                     continue;
                 }
                 if let Some(o) = old {
-                    if self.cache.remove_from(head, rel, &o) {
+                    if rel.remove(&o).is_some() {
                         delta.removed.push(o);
                     }
                 }
@@ -560,7 +542,6 @@ impl<'a> UnitEnv<'a> {
                     }
                 }
             }
-            self.cache.compact(head, rel);
             if !delta.is_empty() {
                 out.push((head.clone(), delta));
             }
@@ -577,27 +558,24 @@ impl<'a> UnitEnv<'a> {
     /// itself), so retractions run in phases: over-delete the downward
     /// closure of the removed input rows, re-derive the survivors (rows
     /// with an alternative derivation that avoids everything deleted),
-    /// then run the normal insertion fixpoint for the added input rows — a
-    /// row rejoining its head cancels its pending retraction, so the
-    /// emitted delta is net.
+    /// then run the normal insertion fixpoint for the added input rows.
+    /// The changed inputs are read in the state each phase needs — pre-tick
+    /// ([`View::Old`]), pre-tick minus the removals ([`View::Mid`]), current
+    /// ([`View::New`]) — and never written. The emitted delta is the heads'
+    /// net change, so a row that rejoins its head is in neither half.
     pub(super) fn dred(
         &mut self,
         changed: &FxHashMap<String, RelDelta>,
     ) -> Result<HeadDeltas, EvalError> {
         let (unit, ruleset) = (self.unit, self.ruleset);
         let dirty = dirty_inputs(unit, changed);
-        let input = |iv: usize| unit.input_variants[iv].0.as_str();
-
-        // Phase 0: restore the unit's inputs to their pre-tick state.
-        for &(iv, d) in &dirty {
-            apply_rows(self.db, self.cache, input(iv), &d.added, &d.removed, false);
-        }
 
         // Phase 1: over-delete. Mark every head row with a derivation
         // through a removed input row (or a previously marked head row),
         // evaluating against the *full* pre-tick database without mutating
         // it — deleting as we go would miss multi-hop derivations and
         // under-delete.
+        self.view_inputs(&dirty, View::Old);
         let mut marked: FxHashMap<&str, FxHashSet<Row>> = FxHashMap::default();
         let removed_rows = Deltas::Inputs {
             dirty: &dirty,
@@ -613,15 +591,15 @@ impl<'a> UnitEnv<'a> {
                 if env.db.get(head).is_some_and(|r| r.contains(&row))
                     && marked.entry(head).or_default().insert(row.clone())
                 {
-                    next.entry(head.to_string()).or_default().insert(row);
+                    next.entry(head.to_string()).or_default().push(row);
                 }
             }
             next
         })?;
 
-        // Phase 2: apply the over-deletions (sorted — the marking sets hash
-        // in arbitrary order) and the input removals; the database now
-        // holds the post-deletion world DRed re-derives against.
+        // Phase 2: remove the over-deletions (sorted — the marking sets
+        // hash in arbitrary order) and read the inputs without their
+        // removals: the post-deletion world DRed re-derives against.
         let mut deleted: Vec<(&String, Vec<Row>)> = Vec::new();
         for h in &unit.heads {
             let Some(set) = marked.remove(h.as_str()) else {
@@ -629,18 +607,13 @@ impl<'a> UnitEnv<'a> {
             };
             let mut rows: Vec<Row> = set.into_iter().collect();
             rows.sort();
-            apply_rows(self.db, self.cache, h, &rows, &[], false);
+            let rel = self.db.get_mut(h).expect("a marked head exists");
+            for row in &rows {
+                rel.remove(row);
+            }
             deleted.push((h, rows));
         }
-        for &(iv, d) in &dirty {
-            apply_rows(self.db, self.cache, input(iv), &d.removed, &[], false);
-        }
-
-        // Rows still retracted; survivors of re-derivation leave this set.
-        let mut retracted: FxHashMap<&str, FxHashSet<Row>> = deleted
-            .iter()
-            .map(|(h, rows)| (h.as_str(), rows.iter().cloned().collect()))
-            .collect();
+        self.view_inputs(&dirty, View::Mid);
 
         // Phase 3: re-derive. An over-deleted row survives if some rule
         // still derives it in the deleted world — the per-row head-bound
@@ -665,47 +638,21 @@ impl<'a> UnitEnv<'a> {
         // Land the survivors, then propagate them through the recursive
         // rules to fixpoint: anything a survivor re-derives was itself
         // over-deleted (inputs have only shrunk so far), so each round
-        // re-derives more of the marked set and nothing else.
-        self.fixpoint(survivors, true, |env, derived| {
-            env.land(derived, |head, row| {
-                if let Some(s) = retracted.get_mut(head) {
-                    s.remove(row);
-                }
-            })
-        })?;
+        // revives more of the marked set and nothing else.
+        self.fixpoint(survivors, true, Self::land)?;
 
-        // Phase 4: apply the input additions.
-        for &(iv, d) in &dirty {
-            apply_rows(self.db, self.cache, input(iv), &[], &d.added, true);
-        }
-
-        // Phase 5: insertion — delta variants seeded by the added input
-        // rows, then the recursive fixpoint. A row rejoining its head
-        // cancels its pending retraction instead of counting as added.
-        let mut added: FxHashMap<String, Vec<Row>> = FxHashMap::default();
+        // Phases 4 and 5: read the inputs in their current state, and run
+        // the insertion — delta variants seeded by the added input rows,
+        // then the recursive fixpoint.
+        self.view_inputs(&dirty, View::New);
         let seed = self.derive(added_rows(&dirty), true)?;
-        self.fixpoint(seed, true, |env, derived| {
-            env.land(derived, |head, row| {
-                if !retracted.get_mut(head).is_some_and(|s| s.remove(row)) {
-                    added.entry(head.to_string()).or_default().push(row.clone());
-                }
-            })
-        })?;
+        self.fixpoint(seed, true, Self::land)?;
 
-        // Emit the net per-head deltas (sorted for determinism) and reclaim
-        // tombstones the retraction phase left behind.
-        let mut out = HeadDeltas::new();
-        for h in &unit.heads {
-            self.cache.compact(h, self.db.entry(h.clone()).or_default());
-            let mut delta = RelDelta {
-                added: added.remove(h).unwrap_or_default(),
-                removed: retracted.remove(h.as_str()).into_iter().flatten().collect(),
-            };
+        // The net per-head deltas, sorted for determinism.
+        let mut out = self.head_deltas();
+        for (_, delta) in &mut out {
             delta.added.sort();
             delta.removed.sort();
-            if !delta.is_empty() {
-                out.push((h.clone(), delta));
-            }
         }
         Ok(out)
     }

@@ -97,7 +97,7 @@
 //! | unit shape | change | `UnitMode` | strategy (`maintain.rs`) |
 //! |---|---|---|---|
 //! | any | none | `Clean` | skipped entirely — a no-op tick is O(1) in the database size |
-//! | any | scalar read changed, or UDF-calling rules | `Recompute` | stateful/unbounded invalidation: empty the heads, re-derive, diff |
+//! | any | scalar read changed, or UDF-calling rules | `Recompute` | stateful/unbounded invalidation: remove every head row, re-derive (rows derived again revive in place), report the heads' uncommitted change |
 //! | any | changed relation read under negation / nested comprehension / keyed table expression | `Recompute` | non-monotone read: any change can flip it, and it isn't delta-keyed |
 //! | recursive SCC | inserts only | `Incremental` | semi-naive fixpoint seeded by the added input rows; landed rows are the delta |
 //! | non-recursive rules | inserts and/or deletes on positive scans | `Counting` | signed expansion folded into per-row **support counts**; rows crossing zero appear/retract |
@@ -109,7 +109,7 @@
 //! of **three sinks**, all in `maintain.rs`:
 //!
 //! * *The kernel.* `delta_round` enumerates a round's delta variants —
-//!   one body atom constrained to a delta relation, the rest ranging over
+//!   one body atom constrained to a slice of delta rows, the rest ranging over
 //!   the full relations — from either source: the signed halves of the
 //!   unit's changed inputs, or the rows the previous round landed, through
 //!   the unit's same-SCC recursive scans. It is the only place a SIP
@@ -120,11 +120,26 @@
 //!   propagation and insertion phase — and the fresh semi-naive evaluator,
 //!   which runs each stratum as one big unit — all land here; DRed's
 //!   over-delete marking is the same fixpoint landing into a mark set.
-//! * *Counting sink* and *aggregate sink*: `signed_expansion` restores the
-//!   unit's inputs to their pre-tick state, walks them forward one relation
-//!   at a time collecting `Row → i64` weight changes per rule, and the
-//!   weights fold into a support table (rows crossing zero appear or
+//! * *Counting sink* and *aggregate sink*: `signed_expansion` reads the
+//!   unit's changed inputs in their pre-tick state, walks them forward one
+//!   relation at a time collecting `Row → i64` weight changes per rule, and
+//!   the weights fold into a support table (rows crossing zero appear or
 //!   retract) or into per-group multisets (touched groups re-emit).
+//!
+//! **Maintenance without roll-back.** No strategy writes a unit's inputs.
+//! A [`Relation`] keeps what it held at its last commit next to what it
+//! holds now: a removed row stays stored (and indexed) until the commit,
+//! an added row sits above the commit watermark, and a row removed and
+//! re-added keeps its slot. A scan reads one [`View`] of it — `New` (the
+//! rows present now), `Old` (the pre-tick rows) or `Mid` (pre-tick rows
+//! still present) — so the mixed-state walk of `signed_expansion` and
+//! DRed's phases switch an input's view instead of removing and
+//! re-applying its delta once per consuming unit. Delta atoms range over
+//! the delta's rows as slices; no delta relation is built. At the end of
+//! [`EvalState::evaluate`] every changed relation is committed once
+//! (`ScanCache::commit`): its removed slots become tombstones and leave the
+//! indexes, and tombstone-heavy relations compact — the only place they do.
+//! Tombstones therefore accrue at the rate rows are actually deleted.
 //!
 //! Why these boundaries: counting is exact only where every derivation is
 //! a finite conjunction of *current* facts — recursion breaks that (a
@@ -153,30 +168,33 @@
 //! not a full rule evaluation.
 //!
 //! **One persistent index set.** Every `(relation, bound columns)` index
-//! is built by the first probe of that shape and then only maintained:
-//! landed and retracted rows report to it ([`ScanCache::note_insert`],
-//! [`ScanCache::note_remove`]); a compaction of a tombstone-heavy
-//! relation renumbers its live rows in place and rewrites the posting
-//! lists through the old → new position table (positions stay ascending,
-//! so an index-driven scan still enumerates rows in insertion order);
-//! only a `Recompute` unit, whose heads are emptied and re-derived, drops
-//! its heads' indexes ([`ScanCache::invalidate`]). The tick's handlers
-//! read through the same cache — the database is borrowed immutably while
-//! they run, so it cannot go stale — which makes a keyed read of a view
+//! is built by the first probe of that shape and then only maintained. It
+//! lists every stored slot that is not a tombstone, whatever the view, and
+//! a probing scan keeps the positions its relation's view shows. Appended
+//! rows report to it ([`ScanCache::note_insert`]); a removal or a revival
+//! changes nothing; a commit drops its tombstoned positions
+//! ([`ScanCache::note_remove`]) and, when the relation compacts, rewrites
+//! the posting lists through the old → new position table (positions stay
+//! ascending, so an index-driven scan still enumerates rows in insertion
+//! order). A `Recompute` unit's heads keep their indexes too: re-derived
+//! rows revive in their old slots. The tick's handlers read through the
+//! same cache — the database is borrowed immutably while they run, so it
+//! cannot go stale — which makes a keyed read of a view
 //! (`{p2 for transitive(pid, p2)}`) cost its answer, not the view, and
 //! makes the reader's index one more index the next tick's deltas keep
 //! current. [`EvalState::index_builds`] counts full-relation builds; in
-//! the steady state it does not move.
+//! the steady state it does not move. [`EvalState::compactions`] counts
+//! the compactions.
 //!
 //! # Module map
 //!
 //! | file | holds |
 //! |---|---|
-//! | `relation.rs` | [`Relation`] (tombstoned, insertion-ordered, compacted by renumbering), [`RelDelta`], [`Row`], [`Database`] |
-//! | `scan_cache.rs` | [`ScanCache`]: `(relation, bound columns)` probe indexes, built on first probe, then maintained |
+//! | `relation.rs` | [`Relation`] (insertion-ordered, with a commit watermark and old / new / mid [`View`]s; tombstoned at commit, compacted by renumbering), [`RelDelta`], [`Row`], [`Database`] |
+//! | `scan_cache.rs` | [`ScanCache`]: `(relation, bound columns)` probe indexes, built on first probe, then maintained; commits and compacts relations |
 //! | `slots.rs` | the slot pass and the compiled-body interpreter (`SlotCompiler`, `Frame`, `CExpr`/`CAtom`, `eval_cexpr`, `eval_cbody`) |
 //! | `plan.rs` | [`stratify`], the compiled `RuleSet`, SIP/check compilation, [`ProgramPlan`] and its `EvalUnit`s |
-//! | `maintain.rs` | the delta-round kernel, its three sinks, DRed |
+//! | `maintain.rs` | the delta-round kernel, its three sinks, DRed — none of which writes a unit's inputs |
 //! | `state.rs` | [`EvalState`]: the persistent database and per-tick unit classification |
 //! | `fresh.rs` | [`evaluate_views`] / [`evaluate_views_naive`]: the fresh-per-call engines over one stratum skeleton |
 //! | `reference.rs` | the map-based evaluator ([`eval_expr`], [`eval_select`], [`evaluate_views_mapref`]) — shares neither the slot pass nor the compiled interpreter with production, which is why the differential suites compare against it |
@@ -193,7 +211,7 @@ mod state;
 pub use fresh::{evaluate_views, evaluate_views_naive};
 pub use plan::{stratify, ProgramPlan};
 pub use reference::{eval_expr, eval_select, evaluate_views_mapref, Bindings};
-pub use relation::{Database, RelDelta, RelIter, Relation, Row};
+pub use relation::{Database, Inserted, RelDelta, RelIter, Relation, Row, View};
 pub use scan_cache::ScanCache;
 pub(crate) use slots::{eval_cexpr, eval_cselect, CExpr, CSelect, Frame, SlotCompiler};
 pub use state::EvalState;
@@ -367,11 +385,13 @@ impl<'a> EvalCtx<'a> {
             .key_index
             .get(table)
             .ok_or_else(|| EvalError::UnknownTable(table.to_string()))?;
-        let key_row: Row = match key {
-            Value::Tuple(parts) => parts.clone(),
-            single => vec![single.clone()],
+        // Looked up by borrowed slice (`Row: Borrow<[Value]>`): a keyed
+        // read allocates nothing.
+        let key_row: &[Value] = match key {
+            Value::Tuple(parts) => parts,
+            single => std::slice::from_ref(single),
         };
-        Ok(idx.get(&key_row))
+        Ok(idx.get(key_row))
     }
 }
 

@@ -8,7 +8,7 @@
 
 use super::fresh::seed_views;
 use super::plan::stratify;
-use super::relation::{Database, Relation, Row};
+use super::relation::{Database, Row};
 use super::scan_cache::ScanCache;
 use super::{bool_of, build_key_indexes, int_of, EvalCtx, EvalError, UdfHost};
 use crate::ast::{AggFun, AggRule, ArithOp, BodyAtom, CmpOp, Expr, Program, Rule, Select, Term};
@@ -178,27 +178,20 @@ pub fn eval_expr(expr: &Expr, b: &Bindings, ctx: &mut EvalCtx<'_>) -> Result<Val
 /// run in source order — the evaluators promise *exact* agreement with
 /// source-order evaluation, including which errors are reachable (an
 /// `ArityMismatch` behind an empty scan must stay unreachable) and how
-/// often stateful UDFs run, so no reordering (not even hoisting a
-/// semi-naive delta atom past an earlier scan) is safe. A delta variant
-/// instead *constrains* one atom to the delta relation, which is where the
-/// semi-naive win lives.
+/// often stateful UDFs run, so no reordering is safe.
 struct BodyPlan<'p> {
     /// The body's atoms, evaluated in source order.
     body: &'p [BodyAtom],
-    /// `(atom position, delta relation)`: that scan ranges over the delta
-    /// instead of the full relation.
-    delta: Option<(usize, &'p Relation)>,
     /// Probe hash indexes for bound scan columns (`false` = pure nested
     /// loops; the map reference detects bound terms dynamically either way).
     use_indexes: bool,
 }
 
 impl<'p> BodyPlan<'p> {
-    /// Index-backed, no delta: the default for ad-hoc selects.
+    /// Index-backed: the default for ad-hoc selects.
     fn full(body: &'p [BodyAtom]) -> Self {
         BodyPlan {
             body,
-            delta: None,
             use_indexes: true,
         }
     }
@@ -251,12 +244,9 @@ fn eval_body(
             // borrows below do not pin `ctx`, which the recursion needs
             // mutably.
             let db: &Database = ctx.db;
-            let relation = match plan.delta {
-                Some((delta_pos, delta)) if delta_pos == pos => delta,
-                _ => db
-                    .get(rel)
-                    .ok_or_else(|| EvalError::UnknownRelation(rel.clone()))?,
-            };
+            let relation = db
+                .get(rel)
+                .ok_or_else(|| EvalError::UnknownRelation(rel.clone()))?;
             if let Some(first) = relation.iter().next() {
                 if first.len() != terms.len() {
                     return Err(EvalError::ArityMismatch {
@@ -270,13 +260,11 @@ fn eval_body(
             // *every* bound term (constants, and variables bound by
             // earlier atoms) instead of scanning the relation. Index
             // probes enumerate matches in insertion order, so a scan's
-            // row order is identical on both paths. Deltas are small and
-            // short-lived; they are always scanned directly. Bound terms
-            // are detected dynamically (this is the map-based reference
-            // path; the compiled engines carry static probe layouts).
-            let is_delta = matches!(plan.delta, Some((p, _)) if p == pos);
+            // row order is identical on both paths. Bound terms are
+            // detected dynamically (this is the map-based reference path;
+            // the compiled engines carry static probe layouts).
             let mut have_key = false;
-            if plan.use_indexes && !is_delta {
+            if plan.use_indexes {
                 let (cols, key) = ctx.scan_cache.begin_probe();
                 for (i, t) in terms.iter().enumerate() {
                     match t {
@@ -300,7 +288,7 @@ fn eval_body(
                     scan_row(plan, step, terms, row, bindings, ctx, emit)?;
                 }
             } else if let Some(ids) = ctx.scan_cache.probe_prepared(rel, relation) {
-                for &i in ids.iter() {
+                for &i in ids.iter().filter(|&&i| relation.visible(i)) {
                     scan_row(plan, step, terms, relation.row(i), bindings, ctx, emit)?;
                 }
             }
@@ -448,9 +436,7 @@ fn run_stratum_aggs(
         };
         let rel = db.entry(rule.head.clone()).or_default();
         for row in rows {
-            if rel.insert(row.clone()) {
-                cache.note_insert(&rule.head, &row, rel.storage_len() - 1);
-            }
+            cache.insert_into(&rule.head, rel, &row);
         }
     }
     Ok(())
@@ -521,7 +507,7 @@ pub fn evaluate_views_mapref(
             }
             let mut changed = false;
             for (head, row) in derived {
-                changed |= db.entry(head).or_default().insert(row);
+                changed |= db.entry(head).or_default().insert(row).is_some();
             }
             if !changed {
                 break;
@@ -575,6 +561,7 @@ fn eval_agg_rule(rule: &AggRule, ctx: &mut EvalCtx<'_>) -> Result<Vec<Row>, Eval
 
 #[cfg(test)]
 mod tests {
+    use super::super::relation::Relation;
     use super::*;
     use crate::builder::dsl::{scan, scan_terms, select, v};
     use crate::builder::ProgramBuilder;

@@ -1,7 +1,7 @@
 //! [`ScanCache`]: lazily built composite equality indexes over relations,
 //! the access path behind every bound scan.
 
-use super::relation::{Relation, Row};
+use super::relation::{Inserted, Relation, Row};
 use super::slots::{Frame, ProbeLayout, ProbeSrc};
 #[cfg(doc)]
 use super::{evaluate_views, EvalState};
@@ -31,18 +31,24 @@ type Postings = FxHashMap<u64, Vec<(Vec<Value>, std::rc::Rc<Vec<usize>>)>>;
 /// `(relation, bound column set)`: probe key → row positions per key
 /// shape, built on the first probe of that shape and never again.
 ///
-/// A cache stays valid as long as every mutation of an indexed relation is
-/// reported: appends via [`ScanCache::note_insert`], removals via
-/// [`ScanCache::note_remove`], a compaction's renumbering via
-/// `ScanCache::compact`, a wholesale re-derivation via
-/// [`ScanCache::invalidate`]. Within a tick, [`evaluate_views`] reports
-/// every append; across ticks, [`EvalState`] reports all four, and lends
-/// the same cache to the tick's handlers — the database is borrowed
-/// immutably for the whole handler phase — so an index a reader's probe
-/// built is maintained from then on like one a rule's probe built, and a
-/// keyed read costs its answer, not the relation. Everything else uses a
-/// context whose lifetime is bounded by an immutable borrow of the
-/// database, under which the cache trivially cannot go stale.
+/// An index holds every stored slot of its relation that is not a
+/// tombstone — rows removed since the relation's last commit included —
+/// and the scans that probe it keep only the positions visible in the
+/// relation's current [`View`](super::relation::View). So a removal
+/// changes no index; only what a [`Relation::commit`] tombstones leaves
+/// them. The cache stays valid as long as every append to an indexed
+/// relation is reported ([`ScanCache::note_insert`], or inserting through
+/// [`ScanCache::insert_into`]) and every commit goes through
+/// [`ScanCache::commit`], which drops the tombstoned positions and
+/// rewrites the posting lists through a compaction's renumbering. Within a
+/// tick, [`evaluate_views`] reports every append; across ticks,
+/// [`EvalState`] reports appends and commits, and lends the same cache to
+/// the tick's handlers — the database is borrowed immutably for the whole
+/// handler phase — so an index a reader's probe built is maintained from
+/// then on like one a rule's probe built, and a keyed read costs its
+/// answer, not the relation. Everything else uses a context whose lifetime
+/// is bounded by an immutable borrow of the database, under which the
+/// cache trivially cannot go stale.
 #[derive(Default)]
 pub struct ScanCache {
     /// relation → sorted bound-column set → probe index. Posting lists sit
@@ -59,6 +65,8 @@ pub struct ScanCache {
     probe_key: Vec<Value>,
     /// How many indexes were ever built (see [`ScanCache::index_builds`]).
     builds: u64,
+    /// How many relations were compacted (see [`ScanCache::compactions`]).
+    compactions: u64,
 }
 
 /// Find the posting list for a probe key among `postings`, comparing the
@@ -76,22 +84,28 @@ where
         .map(|(_, list)| std::rc::Rc::clone(list))
 }
 
-/// Build the probe index of one `(relation, cols)` shape.
+/// Append position `idx` of `row` to the `cols` index `postings`.
+fn postings_push(postings: &mut Postings, cols: &[usize], row: &Row, idx: usize) {
+    let hash = hash_probe_key(cols.iter().map(|&c| &row[c]));
+    let bucket = postings.entry(hash).or_default();
+    match bucket
+        .iter_mut()
+        .find(|(k, _)| k.iter().eq(cols.iter().map(|&c| &row[c])))
+    {
+        Some((_, list)) => std::rc::Rc::make_mut(list).push(idx),
+        None => bucket.push((
+            cols.iter().map(|&c| row[c].clone()).collect(),
+            std::rc::Rc::new(vec![idx]),
+        )),
+    }
+}
+
+/// Build the probe index of one `(relation, cols)` shape over every stored
+/// slot, whatever the relation's view.
 fn postings_build(relation: &Relation, cols: &[usize]) -> Postings {
     let mut postings = Postings::default();
-    for (i, row) in relation.iter_indexed() {
-        let hash = hash_probe_key(cols.iter().map(|&c| &row[c]));
-        let bucket = postings.entry(hash).or_default();
-        match bucket
-            .iter_mut()
-            .find(|(k, _)| k.iter().eq(cols.iter().map(|&c| &row[c])))
-        {
-            Some((_, list)) => std::rc::Rc::make_mut(list).push(i),
-            None => bucket.push((
-                cols.iter().map(|&c| row[c].clone()).collect(),
-                std::rc::Rc::new(vec![i]),
-            )),
-        }
+    for (i, row) in relation.iter_stored() {
+        postings_push(&mut postings, cols, row, i);
     }
     postings
 }
@@ -106,10 +120,11 @@ impl ScanCache {
         (&mut self.probe_cols, &mut self.probe_key)
     }
 
-    /// Row positions of `relation` whose `probe_cols` equal `probe_key`
+    /// Stored positions of `relation` whose `probe_cols` equal `probe_key`
     /// (as filled via [`ScanCache::begin_probe`]), building the
     /// `(rel, cols)` index on first use. Positions are in insertion
-    /// order, so index-driven scans enumerate rows exactly like full scans.
+    /// order, so index-driven scans enumerate rows exactly like full scans;
+    /// the caller keeps the [`Relation::visible`] ones.
     pub(super) fn probe_prepared(&mut self, rel: &str, relation: &Relation) -> Option<std::rc::Rc<Vec<usize>>> {
         let hash = hash_probe_key(self.probe_key.iter());
         // Steady state first: no key allocation on the fixpoint hot path.
@@ -126,7 +141,7 @@ impl ScanCache {
         hits
     }
 
-    /// The compiled-path probe: row positions of `relation` matching a
+    /// The compiled-path probe: stored positions of `relation` matching a
     /// scan's static [`ProbeLayout`], with every key value *borrowed* —
     /// constants straight from the layout, bound variables straight from
     /// the frame's slots. No `Value` is cloned unless this is the first
@@ -163,25 +178,15 @@ impl ScanCache {
     pub fn note_insert(&mut self, rel: &str, row: &Row, idx: usize) {
         if let Some(by_cols) = self.indexes.get_mut(rel) {
             for (cols, postings) in by_cols.iter_mut() {
-                let hash = hash_probe_key(cols.iter().map(|&c| &row[c]));
-                let bucket = postings.entry(hash).or_default();
-                match bucket
-                    .iter_mut()
-                    .find(|(k, _)| k.iter().eq(cols.iter().map(|&c| &row[c])))
-                {
-                    Some((_, list)) => std::rc::Rc::make_mut(list).push(idx),
-                    None => bucket.push((
-                        cols.iter().map(|&c| row[c].clone()).collect(),
-                        std::rc::Rc::new(vec![idx]),
-                    )),
-                }
+                postings_push(postings, cols, row, idx);
             }
         }
     }
 
-    /// Report that the row at storage position `idx` of `rel` was removed.
-    /// Posting lists hold ascending positions, so the removal is a binary
-    /// search plus shift — O(log n + matches) per maintained index.
+    /// Report that the row at storage position `idx` of `rel` was
+    /// tombstoned. Posting lists hold ascending positions, so the removal
+    /// is a binary search plus shift — O(log n + matches) per maintained
+    /// index.
     pub fn note_remove(&mut self, rel: &str, row: &Row, idx: usize) {
         if let Some(by_cols) = self.indexes.get_mut(rel) {
             for (cols, postings) in by_cols.iter_mut() {
@@ -208,14 +213,6 @@ impl ScanCache {
         }
     }
 
-    /// Drop every index over `rel` (rebuilt lazily on the next probe).
-    /// Used when a relation is emptied and re-derived wholesale
-    /// (`Recompute`); nothing cheaper than a rebuild relates its old
-    /// positions to its new ones.
-    pub fn invalidate(&mut self, rel: &str) {
-        self.indexes.remove(rel);
-    }
-
     /// How many `(relation, cols)` indexes this cache has built from a
     /// full pass over a relation. In the steady state of an incremental
     /// transducer it stops growing: every index is maintained in place.
@@ -223,37 +220,42 @@ impl ScanCache {
         self.builds
     }
 
+    /// How many times [`ScanCache::commit`] compacted a relation: the
+    /// sweeps a workload pays for its tombstones.
+    pub fn compactions(&self) -> u64 {
+        self.compactions
+    }
+
     /// Insert `row` into `relation` (named `rel`), keeping every index
-    /// over it current; `true` if the row is new.
+    /// over it current; `true` if the row was not present. A revived row
+    /// keeps its slot, which every index still lists.
     pub(super) fn insert_into(&mut self, rel: &str, relation: &mut Relation, row: &Row) -> bool {
-        let new = relation.insert(row.clone());
-        if new {
-            self.note_insert(rel, row, relation.storage_len() - 1);
+        match relation.insert(row.clone()) {
+            Some(Inserted::Appended(pos)) => {
+                self.note_insert(rel, row, pos);
+                true
+            }
+            Some(Inserted::Revived) => true,
+            None => false,
         }
-        new
     }
 
-    /// Remove `row` from `relation` (named `rel`), keeping every index
-    /// over it current; `true` if the row was present.
-    pub(super) fn remove_from(&mut self, rel: &str, relation: &mut Relation, row: &Row) -> bool {
-        let pos = relation.remove(row);
-        if let Some(pos) = pos {
-            self.note_remove(rel, row, pos);
+    /// [`Relation::commit`] `relation` (named `rel`): drop the positions it
+    /// tombstones from every index over it, then reclaim its tombstones
+    /// once they are worth it ([`Relation::should_compact`]). Compaction
+    /// renumbers storage positions monotonically, so every posting list
+    /// over the relation is rewritten through the old → new table and
+    /// stays ascending — no index is dropped, no key re-hashed. This is
+    /// the only place a relation is compacted. Runs between evaluations,
+    /// when no probe handle is alive, so `Rc::make_mut` rewrites in place.
+    pub(super) fn commit(&mut self, rel: &str, relation: &mut Relation) {
+        for pos in relation.commit() {
+            self.note_remove(rel, relation.row(pos), pos);
         }
-        pos.is_some()
-    }
-
-    /// Reclaim `relation`'s tombstones once they are worth it
-    /// ([`Relation::should_compact`]). Compaction renumbers storage
-    /// positions monotonically, so every posting list over the relation is
-    /// rewritten through the old → new table and stays ascending — no
-    /// index is dropped, no key re-hashed. Runs between evaluation rounds
-    /// like [`ScanCache::note_insert`], when no probe handle is alive, so
-    /// `Rc::make_mut` rewrites in place.
-    pub(super) fn compact(&mut self, rel: &str, relation: &mut Relation) {
         if !relation.should_compact() {
             return;
         }
+        self.compactions += 1;
         let remap = relation.compact();
         let lists = self
             .indexes
@@ -272,10 +274,12 @@ impl ScanCache {
 
 #[cfg(test)]
 mod tests {
+    use super::super::relation::View;
     use super::*;
     use proptest::prelude::*;
 
-    /// Probe `cols == key` the owned-value way.
+    /// Probe `cols == key` the owned-value way, keeping the positions
+    /// visible in `rel`'s current view.
     fn probe(
         cache: &mut ScanCache,
         rel: &Relation,
@@ -285,11 +289,14 @@ mod tests {
         let (c, k) = cache.begin_probe();
         c.extend_from_slice(cols);
         k.extend_from_slice(key);
-        cache.probe_prepared("r", rel).map(|ids| ids.to_vec())
+        cache
+            .probe_prepared("r", rel)
+            .map(|ids| ids.iter().copied().filter(|&i| rel.visible(i)).collect())
     }
 
     /// Every index `cache` holds over `rel` answers every key of `keys`
-    /// exactly like an index built fresh over `rel` as it now stands.
+    /// exactly like an index built fresh over `rel` as it now stands, both
+    /// filtered by `rel`'s current view.
     fn assert_matches_fresh(cache: &mut ScanCache, rel: &Relation, keys: &[Row]) {
         let mut fresh = ScanCache::default();
         for cols in [vec![0], vec![1], vec![0, 1]] {
@@ -302,6 +309,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every raw posting list of `cache` over `rel`, as the rows it lists
+    /// (sorted by key for comparison), keeping only the rows `keep` accepts.
+    fn listed_rows(
+        cache: &ScanCache,
+        rel: &Relation,
+        keep: impl Fn(usize) -> bool,
+    ) -> Vec<(Vec<usize>, Vec<Value>, Vec<Row>)> {
+        let mut out = Vec::new();
+        for (cols, postings) in cache.indexes.get("r").into_iter().flatten() {
+            for (key, list) in postings.values().flatten() {
+                let rows: Vec<Row> = list
+                    .iter()
+                    .filter(|&&i| keep(i))
+                    .map(|&i| rel.row(i).clone())
+                    .collect();
+                if !rows.is_empty() {
+                    out.push((cols.clone(), key.clone(), rows));
+                }
+            }
+        }
+        out.sort();
+        out
     }
 
     /// A compaction renumbers the posting lists in place: same index
@@ -321,10 +352,10 @@ mod tests {
         assert_eq!(cache.index_builds(), 1);
         // Remove everything but the multiples of 5: 320 tombstones.
         for i in (0..400).filter(|i| i % 5 != 0) {
-            assert!(cache.remove_from("r", &mut rel, &vec![int(i % 4), int(i)]));
+            assert!(rel.remove(&[int(i % 4), int(i)]).is_some());
         }
-        assert!(rel.should_compact());
-        cache.compact("r", &mut rel);
+        cache.commit("r", &mut rel);
+        assert_eq!(cache.compactions(), 1);
         assert_eq!(rel.storage_len(), 80);
         // Rows 5, 25, 45, … (i % 20 == 5) are at slots 1, 5, 9, ….
         let hits = probe(&mut cache, &rel, &[0], &[int(1)]).expect("twenty rows");
@@ -340,9 +371,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// Random churn crossing `should_compact` several times, with three
-        /// indexes alive from the start: after every compaction (and at
-        /// the end) each index equals a freshly built one, key by key,
-        /// position list by position list — and none was ever rebuilt.
+        /// indexes alive from the start: after every commit-and-compaction
+        /// (and at the end) each index equals a freshly built one, key by
+        /// key, position list by position list — and none was ever rebuilt.
         #[test]
         fn remapped_indexes_equal_fresh_ones(
             ops in proptest::collection::vec((any::<bool>(), 0i64..48), 900..1200),
@@ -352,24 +383,60 @@ mod tests {
             let mut rel = Relation::new();
             assert_matches_fresh(&mut cache, &rel, &keys[..1]);
             assert_eq!(cache.index_builds(), 3);
-            let mut compactions = 0;
             for (insert, k) in ops {
                 let row = &keys[k as usize];
                 if insert {
                     cache.insert_into("r", &mut rel, row);
                 } else {
-                    cache.remove_from("r", &mut rel, row);
+                    rel.remove(row);
                 }
-                if rel.should_compact() {
-                    cache.compact("r", &mut rel);
-                    compactions += 1;
+                let before = cache.compactions();
+                cache.commit("r", &mut rel);
+                if cache.compactions() > before {
                     assert_eq!(rel.storage_len(), rel.len());
                     assert_matches_fresh(&mut cache, &rel, &keys);
                 }
             }
             assert_matches_fresh(&mut cache, &rel, &keys);
-            assert!(compactions >= 2, "only {compactions} compactions: the sequence is too tame");
+            assert!(cache.compactions() >= 2, "only {} compactions: the sequence is too tame", cache.compactions());
             assert_eq!(cache.index_builds(), 3);
+        }
+
+        /// Ticks of random inserts and removals between commits, with
+        /// three indexes alive from the start. Mid-tick, a probe filtered
+        /// by each view equals a fresh index filtered the same way; a
+        /// commit drops exactly the tombstoned rows from every posting
+        /// list, keeping the others in order; and no index is rebuilt.
+        #[test]
+        fn probes_read_every_view_and_commit_drops_exactly_the_tombstones(
+            ticks in proptest::collection::vec(
+                proptest::collection::vec((any::<bool>(), 0i64..48), 1..40),
+                30..60,
+            ),
+        ) {
+            let keys: Vec<Row> = (0..48).map(|k| vec![Value::Int(k % 5), Value::Int(k)]).collect();
+            let mut cache = ScanCache::default();
+            let mut rel = Relation::new();
+            assert_matches_fresh(&mut cache, &rel, &keys[..1]);
+            for tick in ticks {
+                for (insert, k) in tick {
+                    let row = &keys[k as usize];
+                    if insert {
+                        cache.insert_into("r", &mut rel, row);
+                    } else {
+                        rel.remove(row);
+                    }
+                }
+                for view in [View::Old, View::Mid, View::New] {
+                    rel.set_view(view);
+                    assert_matches_fresh(&mut cache, &rel, &keys);
+                }
+                let survivors = listed_rows(&cache, &rel, |i| rel.visible(i));
+                cache.commit("r", &mut rel);
+                assert_eq!(listed_rows(&cache, &rel, |_| true), survivors);
+                assert_eq!(cache.index_builds(), 3);
+            }
+            assert!(cache.compactions() >= 1, "no compaction: the sequence is too tame");
         }
     }
 }

@@ -6,7 +6,7 @@
 //! per-row cost of binding a variable is an indexed store, not a string
 //! hash. The map-based twin of everything here lives in `reference.rs`.
 
-use super::relation::{Database, Relation, Row};
+use super::relation::{Database, Row};
 use super::{bool_of, int_of, EvalCtx, EvalError};
 use crate::ast::{ArithOp, BodyAtom, CmpOp, Expr, Select, Term};
 use crate::value::Value;
@@ -634,9 +634,9 @@ struct CPlan<'p> {
     body: &'p [CAtom],
     /// Slot → variable name of the body's frame (for `UnboundVar`).
     names: &'p [String],
-    /// `(atom position, delta relation)`: that scan ranges over the delta
-    /// instead of the full relation.
-    delta: Option<(usize, &'p Relation)>,
+    /// `(atom position, delta rows)`: that scan ranges over the delta
+    /// rows instead of the relation.
+    delta: Option<(usize, &'p [Row])>,
     /// Probe hash indexes for bound scan columns (`false` = pure nested
     /// loops, for the naive reference engine).
     use_indexes: bool,
@@ -695,28 +695,34 @@ fn eval_cbody(
     }
     match &plan.body[pos] {
         CAtom::Scan { rel, terms, layout } => {
-            let db: &Database = ctx.db;
-            let relation = match plan.delta {
-                Some((delta_pos, delta)) if delta_pos == pos => delta,
-                _ => db
-                    .get(rel)
-                    .ok_or_else(|| EvalError::UnknownRelation(rel.clone()))?,
+            let arity = |first: Option<&Row>| match first {
+                Some(row) if row.len() != terms.len() => Err(EvalError::ArityMismatch {
+                    rel: rel.clone(),
+                    expected: terms.len(),
+                    actual: row.len(),
+                }),
+                _ => Ok(()),
             };
-            if let Some(first) = relation.iter().next() {
-                if first.len() != terms.len() {
-                    return Err(EvalError::ArityMismatch {
-                        rel: rel.clone(),
-                        expected: terms.len(),
-                        actual: first.len(),
-                    });
+            // A delta atom ranges over its rows, never through an index.
+            if let Some((_, rows)) = plan.delta.filter(|&(p, _)| p == pos) {
+                arity(rows.first())?;
+                for row in rows {
+                    cscan_row(plan, step, terms, row, frame, ctx, emit)?;
                 }
+                return Ok(());
             }
+            let db: &Database = ctx.db;
+            let relation = db
+                .get(rel)
+                .ok_or_else(|| EvalError::UnknownRelation(rel.clone()))?;
+            arity(relation.iter().next())?;
             // Probe the composite index over the statically bound columns.
             // The probe key is read *borrowed* — constants from the layout,
             // bound variables straight from the frame slots — so the fast
             // path clones no `Value`, hashes no names, allocates nothing.
-            let is_delta = matches!(plan.delta, Some((p, _)) if p == pos);
-            let probe = if plan.use_indexes && !is_delta {
+            // An index lists every stored slot; the relation's view decides
+            // which of them this scan sees.
+            let probe = if plan.use_indexes {
                 layout
                     .as_ref()
                     .map(|l| ctx.scan_cache.probe_layout(rel, relation, l, frame))
@@ -732,7 +738,7 @@ fn eval_cbody(
                 // Indexed probe with no matching rows: nothing to scan.
                 Some(None) => {}
                 Some(Some(ids)) => {
-                    for &i in ids.iter() {
+                    for &i in ids.iter().filter(|&&i| relation.visible(i)) {
                         cscan_row(plan, step, terms, relation.row(i), frame, ctx, emit)?;
                     }
                 }
@@ -856,11 +862,11 @@ impl CompiledQuery {
     /// Evaluate the query to its projected rows (resetting the scratch
     /// frame to the query's slot count first — rule bodies always start
     /// from empty bindings). `delta` constrains the scan at that body
-    /// position to the given relation; `use_indexes == false` is the
-    /// naive engine's pure nested loops.
+    /// position to the given rows; `use_indexes == false` is the naive
+    /// engine's pure nested loops.
     pub(super) fn eval(
         &self,
-        delta: Option<(usize, &Relation)>,
+        delta: Option<(usize, &[Row])>,
         use_indexes: bool,
         frame: &mut Frame,
         ctx: &mut EvalCtx<'_>,

@@ -1,7 +1,7 @@
 //! [`EvalState`]: the persistent cross-tick evaluation state, and the
 //! per-tick classification of each unit into a maintenance strategy.
 
-use super::maintain::{apply_rows, AggGroup, UnitEnv};
+use super::maintain::{AggGroup, UnitEnv};
 use super::plan::{EvalUnit, ProgramPlan};
 use super::relation::{Database, RelDelta, Relation, Row};
 use super::scan_cache::ScanCache;
@@ -174,6 +174,12 @@ impl EvalState {
         self.cache.index_builds()
     }
 
+    /// How many times a relation of this state was compacted
+    /// ([`ScanCache::compactions`]).
+    pub fn compactions(&self) -> u64 {
+        self.cache.compactions()
+    }
+
     /// Take the recycled `changed`-map scratch for this tick's journal
     /// fold (returned to the pool by [`EvalState::evaluate`]). The map
     /// and the deltas from [`EvalState::pooled_delta`] retain their
@@ -269,16 +275,25 @@ impl EvalState {
         }
     }
 
-    /// Apply one base relation's delta, keeping the scan indexes current
-    /// (and compacting tombstone-heavy relations).
+    /// Apply one base relation's delta, keeping the scan indexes current.
+    /// The removed rows stay readable as the relation's old state until
+    /// [`EvalState::evaluate`] commits it.
     pub fn apply_base_delta(&mut self, rel: &str, delta: &RelDelta) {
-        apply_rows(&mut self.db, &mut self.cache, rel, &delta.removed, &delta.added, true);
+        let r = self.db.entry(rel.to_string()).or_default();
+        for row in &delta.removed {
+            r.remove(row);
+        }
+        for row in &delta.added {
+            self.cache.insert_into(rel, r, row);
+        }
     }
 
     /// Bring every view up to date given the base-relation deltas already
     /// applied via [`EvalState::apply_base_delta`] and the set of scalars
-    /// whose values changed. On error the state is left partially
-    /// updated — callers must discard it and rebuild.
+    /// whose values changed, then commit every relation that changed
+    /// (the first evaluation commits them all): what it holds now becomes
+    /// the old state the next tick's maintenance reads. On error the state
+    /// is left partially updated — callers must discard it and rebuild.
     pub fn evaluate(
         &mut self,
         program: &Program,
@@ -290,6 +305,7 @@ impl EvalState {
         self.initialized = true;
         let mut frame = Frame::default();
         let plan = self.plan.clone();
+        let mut ran: Vec<&EvalUnit> = Vec::new();
         for unit in &plan.units {
             if !self.skip_heads.is_empty()
                 && unit.heads.iter().any(|h| self.skip_heads.contains(h))
@@ -333,6 +349,22 @@ impl EvalState {
                 UnitMode::Dred => env.dred(&changed)?,
             };
             changed.extend(out);
+            ran.push(unit);
+        }
+        // Commit what the tick wrote: every changed relation, and the heads
+        // of every unit that ran — a re-derived head can end where it
+        // started, with removed-and-revived slots to settle. The first
+        // evaluation commits everything, seeded base relations included.
+        if force_all {
+            for (name, rel) in self.db.iter_mut() {
+                self.cache.commit(name, rel);
+            }
+        } else {
+            for name in changed.keys().chain(ran.iter().flat_map(|u| &u.heads)) {
+                if let Some(rel) = self.db.get_mut(name) {
+                    self.cache.commit(name, rel);
+                }
+            }
         }
         // Recycle the fold scratch: the next tick's journal fold reuses
         // the map and its deltas via `take_changed_scratch`/`pooled_delta`

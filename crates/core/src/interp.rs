@@ -1124,6 +1124,13 @@ impl Transducer {
         self.eval.as_ref().map_or(0, EvalState::index_builds)
     }
 
+    /// How many relation compactions the incremental engine's current
+    /// evaluation state has run ([`EvalState::compactions`]; 0 while there
+    /// is no such state): the tombstone sweeps its ticks paid for.
+    pub fn compactions(&self) -> u64 {
+        self.eval.as_ref().map_or(0, EvalState::compactions)
+    }
+
     /// Read a scalar's current value.
     pub fn scalar(&self, name: &str) -> Option<&Value> {
         self.state.scalars.get(name)

@@ -1172,16 +1172,25 @@ fn contacts_program() -> Program {
 /// settled clusters are read (`trace`, and `exposed_q` or `reach_q`), one is
 /// `notify`-ed, and every 8th tick someone is diagnosed.
 ///
-/// A work count, not a clock: once every access path has been probed once
+/// Work counts, not a clock. Once every access path has been probed once
 /// (the warm-up), `Transducer::index_builds` must never move again — a
 /// reader that indexed a view per request, or a compaction that dropped the
-/// indexes it renumbered under, would show as growth. Each relation holds
-/// under 4 × 65 rows here, so `Relation::should_compact` fires at its floor
-/// of 65 tombstones; `people` takes ≈ 40 a tick (4 leavers, 4 rewritten
-/// contact sets, each rolled back and forward by its two counting
-/// consumers), `contact_pairs` 18 (6 retractions, rolled back and forward
-/// by the DRed unit) and `transitive` ≈ 60, so the 200 measured ticks hold
-/// some 100, 45 and 190 compactions of the three with reads in flight.
+/// indexes it renumbered under, would show as growth.
+///
+/// And `Transducer::compactions` must follow the deletes. A relation's
+/// tombstones are exactly the rows it lost, committed once a tick (view
+/// maintenance reads a changed input's pre-tick state instead of removing
+/// and re-appending its rows). Each relation holds under 4 × 65 rows here,
+/// so `Relation::should_compact` fires at its floor of 65 tombstones, and a
+/// relation losing `d` rows a tick compacts at most `(64 + 200·d) / 65`
+/// times in the 200 measured ticks (64 for the tombstones it carries in).
+/// The 13 relations that lose rows lose, per tick: `people` 8⅛ (4 leavers, 4
+/// rewritten contact sets, a diagnosis every 8th tick), `contact_pairs` 6
+/// (the leaving cluster's chain), `transitive` 16 (its closure), `reach` 4,
+/// `exposed` ½, and the consumed messages of the eight mailboxes 14⅛ — in
+/// all 48¾, so at most `(13·64 + 200·48¾) / 65` = 162 compactions. (Rolling
+/// each changed input back and forward per consuming unit, as the engine
+/// once did, re-appended rows at new slots and cost 412 here.)
 ///
 /// Replies and state equal the fresh semi-naive engine's tick by tick;
 /// sends equal them as multisets (the engines derive rows in different
@@ -1200,6 +1209,7 @@ fn steady_state_churn_builds_no_index_and_keeps_scan_order() {
 
     let member = |cluster: i64, i: i64| Value::Int(1 + cluster * CLUSTER + i);
     let mut settled_builds = 0;
+    let mut settled_compactions = 0;
     let mut ordered_rows = 0;
     for t in 0..WARM_UP + MEASURED {
         let mut batch: Vec<Op> = Vec::new();
@@ -1263,6 +1273,7 @@ fn steady_state_churn_builds_no_index_and_keeps_scan_order() {
 
         if t + 1 == WARM_UP {
             settled_builds = incr.index_builds();
+            settled_compactions = incr.compactions();
         } else if t >= WARM_UP {
             assert_eq!(
                 incr.index_builds(),
@@ -1275,6 +1286,11 @@ fn steady_state_churn_builds_no_index_and_keeps_scan_order() {
     // `contact_pairs[0]` and `[0, 1]`, `transitive[0]` and `[1]` for the
     // rules (and `trace`), `exposed[0]` and `reach[0]` for readers alone.
     assert_eq!(settled_builds, 7);
+    let compactions = incr.compactions() - settled_compactions;
+    assert!(
+        compactions <= 162,
+        "{compactions} compactions in {MEASURED} ticks: tombstones outgrow the deletes"
+    );
     assert_eq!(ordered_rows as i64, MEASURED * CLUSTER);
     assert_eq!(
         fresh.index_builds(),

@@ -45,10 +45,14 @@ echo "== deletion-maintenance differential suites =="
 # churn, and rollback interleavings; the DRed alternative-derivation
 # scenario; SIP gating on the static reorder proof (a unit test of
 # `eval/plan.rs`, matched by name); the N∈{1,2,4} sharded churn runs; and
-# the persistent-index pins — the steady-state work count (no index built
+# the persistent-index pins — the steady-state work counts (no index built
 # after warm-up across 200 churn ticks of reads and compactions, scan
-# order through a renumbered index included) and the renumbering
-# compaction's unit and property tests in `eval/{relation,scan_cache}.rs`.
+# order through a renumbered index included, and compactions bounded by
+# the deletes) and the renumbering compaction's unit and property tests in
+# `eval/{relation,scan_cache}.rs`; the commit-watermark pins — the old /
+# new / mid views and `commit` against a model, and probes through each
+# view against a fresh index; and the golden run digests, which pin every
+# engine's replies, sends (in order) and warnings on fixed scripts.
 cargo test -q -p hydro-core --test seminaive_differential -- \
   counting_dred_agree_with_recompute_and_fresh \
   counting_agg_groups_agree_with_recompute_and_fresh \
@@ -60,7 +64,11 @@ cargo test -q -p hydro-core --lib -- \
   compact_returns_the_old_to_new_position_table \
   compaction_preserves_rows_order_and_positions \
   compaction_remaps_posting_lists_without_rebuilding \
-  remapped_indexes_equal_fresh_ones
+  remapped_indexes_equal_fresh_ones \
+  views_read_the_old_the_new_and_the_surviving_state \
+  views_and_commit_match_a_model \
+  probes_read_every_view_and_commit_drops_exactly_the_tombstones
+cargo test -q -p hydro --test golden_runs
 cargo test -q -p hydro-analysis --test sharded_differential sharded_churn_matches_single
 
 echo

@@ -204,7 +204,8 @@ fn contacts_script(seed: u64) -> Vec<Batch> {
         }
         for _ in 0..3 {
             let who = rng.below(next as u64) as i64 + 1;
-            let reader = ["trace", "exposed_q", "reach_q", "clear_q", "next_q"][rng.below(5) as usize];
+            let reader =
+                ["trace", "exposed_q", "reach_q", "clear_q", "next_q"][rng.below(5) as usize];
             batch.push((reader, ints(&[who])));
         }
         let who = rng.pick(&alive).expect("someone is left");
@@ -346,7 +347,7 @@ fn tick_digests(out: &TickOutput) -> (u64, u64) {
 
 /// One engine under test.
 enum Engine {
-    Single(Transducer),
+    Single(Box<Transducer>),
     Sharded(ShardedTransducer),
 }
 
@@ -375,7 +376,7 @@ fn engine(name: &str, text: &str) -> Engine {
     let single = |mode: EvalMode| {
         let mut t = Transducer::new(program.clone()).expect("program validates");
         t.set_eval_mode(mode);
-        Engine::Single(t)
+        Engine::Single(Box::new(t))
     };
     match name {
         "incremental" => single(EvalMode::Incremental),
@@ -438,7 +439,10 @@ fn assert_pinned(program: &str, got: &[(&str, u64, u64)], exact: [u64; 4], canon
         println!("{program} {name}: exact {e:#018x}, canonical {c:#018x}");
     }
     for ((name, e, c), want) in got.iter().zip(exact) {
-        assert_eq!(*c, canonical, "{program}: {name}'s canonical run digest moved");
+        assert_eq!(
+            *c, canonical,
+            "{program}: {name}'s canonical run digest moved"
+        );
         assert_eq!(*e, want, "{program}: {name}'s exact run digest moved");
     }
 }
@@ -451,10 +455,10 @@ fn contacts_runs_match_their_golden_digests() {
         &got,
         // incremental, fresh semi-naive, fresh naive, two shards
         [
-            0x83af_c151_df08_477f,
+            0x2540_bb29_931a_3bc6,
             0x7bd6_6719_8bd3_8472,
             0x7bd6_6719_8bd3_8472,
-            0x83af_c151_df08_477f,
+            0x2540_bb29_931a_3bc6,
         ],
         0xfd88_84cb_aba6_d4dd,
     );

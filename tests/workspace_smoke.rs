@@ -17,12 +17,15 @@ use hydro::logic::value::Value;
 
 /// The shape of the benchmark's `contacts.hydro` (kept inline: the
 /// benchmark's files are not this test's to read), plus `clear`, whose
-/// negation makes its unit re-derive whenever `exposed` changes.
+/// negation makes its unit re-derive whenever `exposed` changes, and two
+/// views that read `clear`'s pre-tick state while it changes.
 ///   contact_pairs  flatten of a set column            (counting)
 ///   transitive     recursive closure                  (insert-only rounds, DRed on delete)
 ///   exposed        join of the closure on a flag      (counting over a recursive input)
 ///   reach          count aggregate over the closure   (delta-keyed groups)
 ///   clear          closure minus exposed              (recompute)
+///   clear_n        count aggregate over `clear`       (delta-keyed groups over a recomputed input)
+///   clear_next     join of `clear` and contact_pairs  (counting over two changing inputs)
 const PROGRAM: &str = r#"
 table people(pid, contacts: set, covid: flag, key=pid)
 
@@ -48,6 +51,13 @@ query reach(p) = count(p2):
 query clear(p, p2):
   for transitive(p, p2)
   not exposed(p, p2)
+
+query clear_n(p) = count(p2):
+  for clear(p, p2)
+
+query clear_next(p, p3):
+  for clear(p, p2)
+  for contact_pairs(p2, p3)
 
 on add_person(pid):
   insert people(pid, {}, false)
@@ -77,6 +87,12 @@ on reach_q(pid):
 
 on clear_q(pid):
   return {p2 for clear(pid, p2)}
+
+on clear_n_q(pid):
+  return {n for clear_n(pid, n)}
+
+on clear_next_q(pid):
+  return {p3 for clear_next(pid, p3)}
 "#;
 
 /// People per cluster, linked in a chain the tick after they arrive.
@@ -113,7 +129,15 @@ fn script(t: i64) -> Vec<(&'static str, Vec<i64>)> {
     for age in [3, 5, 7] {
         if t >= age {
             let p = base(t - age) + (t + age) % CLUSTER;
-            msgs.extend(["trace", "exposed_q", "reach_q", "clear_q"].map(|h| (h, vec![p])));
+            let readers = [
+                "trace",
+                "exposed_q",
+                "reach_q",
+                "clear_q",
+                "clear_n_q",
+                "clear_next_q",
+            ];
+            msgs.extend(readers.map(|h| (h, vec![p])));
         }
     }
     msgs
@@ -132,17 +156,18 @@ fn engines_and_shards_agree_under_cluster_churn() {
     // How long. `Relation::should_compact` fires once a relation holds more
     // than 64 tombstones and they are at least a quarter of its live rows;
     // every relation here stays under ~65 live rows, so the floor of 65
-    // tombstones decides. A busy tick retracts 6 `contact_pairs` rows (a
-    // leaving cluster's 5, a lone leaver's 1) and adds the 6 of the cluster
-    // being linked, and the DRed unit above rolls that delta back and forward
-    // again: 18 tombstones a busy tick, 4 busy ticks in 5, so `contact_pairs`
-    // — the slowest of the three relations the rules probe — compacts every
-    // 5th tick from tick 11, `people` every 2nd or 3rd and `transitive`
-    // nearly every tick. The slowest relation a *handler* probes is `reach`
-    // (a few replaced group rows a tick against the same floor): it compacts
-    // in ticks 26 and 47, which sets the length. Every one of those
-    // compactions is followed, in the same tick, by reads through the
-    // renumbered indexes — the handlers borrow the engine's own.
+    // tombstones decides. A relation's tombstones are the rows it lost,
+    // committed once a tick — maintenance reads a changed input's pre-tick
+    // state, it does not remove and re-append its rows. In 5 ticks (one
+    // idle, and some leavers never arrived) `transitive` loses ≈ 63 rows,
+    // `people` ≈ 29 (leavers and rewritten contact sets), `contact_pairs`
+    // ≈ 23 (a leaving cluster's 5 pairs and a lone leaver's 1 a busy tick)
+    // and `reach` ≈ 16. So `transitive` compacts every 5–6 ticks from tick
+    // 11, `people` every 11–13 from tick 14 and `contact_pairs` every 15
+    // from tick 21; `reach`, the slowest, compacts in ticks 26 and 47, which
+    // sets the length. Every one of those compactions is followed, in the
+    // same tick, by reads through the renumbered indexes — the handlers
+    // borrow the engine's own.
     let mut nonempty_reads = 0;
     for t in 0..48 {
         for (mailbox, args) in script(t) {
@@ -181,9 +206,15 @@ fn engines_and_shards_agree_under_cluster_churn() {
             .filter(|r| matches!(&r.value, Value::Set(s) if !s.is_empty()))
             .count();
     }
-    // The agreement above is about something: most reads found rows.
+    // The agreement above is about something: most reads found rows, and
+    // the four relations above compacted at least twice each.
     assert!(
         nonempty_reads > 100,
         "only {nonempty_reads} non-empty reads"
+    );
+    assert!(
+        incremental.compactions() >= 8,
+        "only {} compactions",
+        incremental.compactions()
     );
 }
