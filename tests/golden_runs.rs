@@ -2,11 +2,14 @@
 //!
 //! Two programs — a contact tracer with one view per maintenance strategy
 //! and a serialized account store with a counting view — each run a fixed
-//! seeded script through four engines: the incremental transducer, both
-//! fresh-per-tick modes, and a two-shard driver. Every tick's output
-//! (replies, sends, warnings) is folded into a 64-bit FNV-1a digest over a
-//! small canonical byte encoding written out below, so the digests do not
-//! depend on a hasher the toolchain may change.
+//! seeded script through seven engines: the incremental transducer, both
+//! fresh-per-tick modes, the serial shard driver at one and two shards,
+//! the worker-thread shard driver at two shards, and an incremental
+//! instance that is replaced halfway through the script by the one
+//! [`RecoveryLog::restore`] rebuilds from its drained journal. Every tick's
+//! output (replies, sends, warnings) is folded into a 64-bit FNV-1a digest
+//! over a small canonical byte encoding written out below, so the digests
+//! do not depend on a hasher the toolchain may change.
 //!
 //! Two digests are kept per tick:
 //! * *canonical*: sends sorted. The engines derive view rows in different
@@ -14,16 +17,21 @@
 //! * *exact*: sends in emission order, the order a `send` of a
 //!   comprehension exposes to its receiver.
 //!
-//! Both fold into run digests that must equal the committed constants. A
+//! The single-instance engines also record their recovery journal: each
+//! tick's [`JournalDelta`] (tables, scalars, mailboxes, counters) folds
+//! into a third digest, which every one of them must produce alike.
+//!
+//! All three fold into run digests that must equal the committed constants. A
 //! change that moves a constant has changed observable behaviour —
 //! usually the order in which some engine enumerates a view — and must
 //! say which constant moved and why.
 
 use hydro::analysis::partition::partition;
 use hydro::lang::parse_program;
-use hydro::logic::interp::{EvalMode, TickOutput, Transducer};
-use hydro::logic::shard::ShardedTransducer;
+use hydro::logic::interp::{EvalMode, JournalDelta, RecoveryLog, TickOutput, Transducer};
+use hydro::logic::shard::{ParallelShardedTransducer, ShardedTransducer};
 use hydro::logic::value::Value;
+use std::sync::Arc;
 
 /// The benchmark's contact tracer, plus `clear` (re-derived whenever
 /// `exposed` changes, because of its negation), aggregates and a join over
@@ -345,10 +353,52 @@ fn tick_digests(out: &TickOutput) -> (u64, u64) {
     (fold(head, &sends), fold(head, &sorted))
 }
 
+/// The digest of one tick's recovery-journal record (`None` when the
+/// drain had nothing to report).
+fn journal_digest(delta: Option<&JournalDelta>) -> u64 {
+    let mut h = Fnv::new();
+    let Some(d) = delta else {
+        h.bytes(&[0]);
+        return h.0;
+    };
+    h.bytes(&[1]);
+    h.u64(d.tables.len() as u64);
+    for (table, key, row) in &d.tables {
+        h.str(table);
+        h.row(key);
+        match row {
+            Some(r) => {
+                h.bytes(&[1]);
+                h.row(r);
+            }
+            None => h.bytes(&[0]),
+        }
+    }
+    h.u64(d.scalars.len() as u64);
+    for (name, v) in &d.scalars {
+        h.str(name);
+        h.value(v);
+    }
+    h.u64(d.mailboxes.len() as u64);
+    for (name, queue) in &d.mailboxes {
+        h.str(name);
+        h.u64(queue.len() as u64);
+        for m in queue {
+            h.u64(m.id);
+            h.row(&m.row);
+        }
+    }
+    h.u64(d.next_msg_id);
+    h.u64(d.tick_no);
+    h.0
+}
+
 /// One engine under test.
 enum Engine {
+    /// A single transducer with its recovery journal on.
     Single(Box<Transducer>),
     Sharded(ShardedTransducer),
+    Parallel(ParallelShardedTransducer),
 }
 
 impl Engine {
@@ -356,6 +406,7 @@ impl Engine {
         match self {
             Engine::Single(t) => t.enqueue(mailbox, row),
             Engine::Sharded(s) => s.enqueue(mailbox, row),
+            Engine::Parallel(p) => p.enqueue(mailbox, row),
         }
         .expect("known mailbox")
     }
@@ -364,57 +415,112 @@ impl Engine {
         match self {
             Engine::Single(t) => t.tick(),
             Engine::Sharded(s) => s.tick(),
+            Engine::Parallel(p) => p.tick(),
         }
         .expect("tick")
     }
 }
 
-const ENGINES: [&str; 4] = ["incremental", "fresh_seminaive", "fresh_naive", "sharded_2"];
+const ENGINES: [&str; 7] = [
+    "incremental",
+    "fresh_seminaive",
+    "fresh_naive",
+    "sharded_2",
+    "sharded_1",
+    "parallel_2",
+    "restored",
+];
 
 fn engine(name: &str, text: &str) -> Engine {
     let program = parse_program(text).expect("program parses");
     let single = |mode: EvalMode| {
         let mut t = Transducer::new(program.clone()).expect("program validates");
         t.set_eval_mode(mode);
+        t.set_journaling(true);
         Engine::Single(Box::new(t))
     };
+    let routing = || partition(&program).routing();
     match name {
-        "incremental" => single(EvalMode::Incremental),
+        "incremental" | "restored" => single(EvalMode::Incremental),
         "fresh_seminaive" => single(EvalMode::FreshSemiNaive),
         "fresh_naive" => single(EvalMode::FreshNaive),
-        "sharded_2" => {
-            let routing = partition(&program).routing();
-            Engine::Sharded(
-                ShardedTransducer::new(program.clone(), routing, 2).expect("program validates"),
-            )
-        }
+        "sharded_1" | "sharded_2" => Engine::Sharded(
+            ShardedTransducer::new(program.clone(), routing(), usize::from(name == "sharded_2") + 1)
+                .expect("program validates"),
+        ),
+        "parallel_2" => Engine::Parallel(
+            ParallelShardedTransducer::new(program.clone(), routing(), 2)
+                .expect("program validates"),
+        ),
         other => unreachable!("no engine {other}"),
     }
 }
 
-/// Run `script` through every engine; check they agree tick by tick on
-/// the canonical digest and return each engine's `(exact, canonical)` run
-/// digest.
-fn run_all(text: &str, script: &[Batch]) -> Vec<(&'static str, u64, u64)> {
-    let mut per_engine: Vec<Vec<(u64, u64)>> = Vec::new();
-    for name in ENGINES {
-        let mut e = engine(name, text);
-        let mut ticks = Vec::with_capacity(script.len());
-        for batch in script {
-            for (mailbox, row) in batch {
-                e.enqueue(mailbox, row.clone());
+/// One engine's run: per tick, the `(exact, canonical)` output digests and
+/// the journal digest (`None` for the shard drivers, which keep no single
+/// journal).
+type Run = Vec<((u64, u64), Option<u64>)>;
+
+/// Run `script` through one engine. The `restored` engine appends every
+/// journal record to a [`RecoveryLog`] and, halfway through, continues on
+/// the replacement the log restores.
+fn run_one(name: &str, text: &str, script: &[Batch]) -> Run {
+    let mut e = engine(name, text);
+    let mut log = match &e {
+        Engine::Single(t) if name == "restored" => Some(RecoveryLog::new(t.checkpoint(), 8)),
+        _ => None,
+    };
+    let mut ticks = Vec::with_capacity(script.len());
+    for (i, batch) in script.iter().enumerate() {
+        if let (Engine::Single(t), Some(log)) = (&mut e, &log) {
+            if i == script.len() / 2 {
+                let mut replacement = log.restore(Arc::clone(t.core()));
+                replacement.set_journaling(true);
+                **t = replacement;
             }
-            ticks.push(tick_digests(&e.tick()));
         }
-        per_engine.push(ticks);
+        for (mailbox, row) in batch {
+            e.enqueue(mailbox, row.clone());
+        }
+        let out = tick_digests(&e.tick());
+        let journal = match &mut e {
+            Engine::Single(t) => {
+                let delta = t.take_journal_delta();
+                let digest = journal_digest(delta.as_ref());
+                if let (Some(log), Some(d)) = (&mut log, delta) {
+                    log.append(d);
+                }
+                Some(digest)
+            }
+            Engine::Sharded(_) | Engine::Parallel(_) => None,
+        };
+        ticks.push((out, journal));
     }
+    ticks
+}
+
+/// Every engine's run digests: `(name, exact, canonical, journal)`.
+type Digests = Vec<(&'static str, u64, u64, Option<u64>)>;
+
+/// Run `script` through every engine; check they agree tick by tick on
+/// the canonical digest (and, where kept, the journal digest) and return
+/// each engine's run digests.
+fn run_all(text: &str, script: &[Batch]) -> Digests {
+    let per_engine: Vec<Run> = ENGINES.iter().map(|name| run_one(name, text, script)).collect();
     for (i, ticks) in per_engine.iter().enumerate().skip(1) {
         for (t, (ours, theirs)) in ticks.iter().zip(&per_engine[0]).enumerate() {
             assert_eq!(
-                ours.1, theirs.1,
+                ours.0 .1, theirs.0 .1,
                 "tick {t}: {} disagrees with {}",
                 ENGINES[i], ENGINES[0]
             );
+            if ours.1.is_some() {
+                assert_eq!(
+                    ours.1, theirs.1,
+                    "tick {t}: {}'s journal disagrees with {}'s",
+                    ENGINES[i], ENGINES[0]
+                );
+            }
         }
     }
     ENGINES
@@ -423,27 +529,36 @@ fn run_all(text: &str, script: &[Batch]) -> Vec<(&'static str, u64, u64)> {
         .map(|(&name, ticks)| {
             let mut exact = Fnv::new();
             let mut canonical = Fnv::new();
-            for (e, c) in ticks {
+            let mut journal = Fnv::new();
+            for ((e, c), j) in ticks {
                 exact.u64(*e);
                 canonical.u64(*c);
+                if let Some(j) = j {
+                    journal.u64(*j);
+                }
             }
-            (name, exact.0, canonical.0)
+            let journaled = ticks.iter().all(|(_, j)| j.is_some());
+            (name, exact.0, canonical.0, journaled.then_some(journal.0))
         })
         .collect()
 }
 
 /// Compare against the pinned digests, printing every engine's actual
 /// values first so a deliberate change can be re-pinned from the output.
-fn assert_pinned(program: &str, got: &[(&str, u64, u64)], exact: [u64; 4], canonical: u64) {
-    for (name, e, c) in got {
-        println!("{program} {name}: exact {e:#018x}, canonical {c:#018x}");
+fn assert_pinned(program: &str, got: &Digests, exact: [u64; 7], canonical: u64, journal: u64) {
+    for (name, e, c, j) in got {
+        let j = j.map_or("-".to_string(), |j| format!("{j:#018x}"));
+        println!("{program} {name}: exact {e:#018x}, canonical {c:#018x}, journal {j}");
     }
-    for ((name, e, c), want) in got.iter().zip(exact) {
+    for ((name, e, c, j), want) in got.iter().zip(exact) {
         assert_eq!(
             *c, canonical,
             "{program}: {name}'s canonical run digest moved"
         );
         assert_eq!(*e, want, "{program}: {name}'s exact run digest moved");
+        if let Some(j) = j {
+            assert_eq!(*j, journal, "{program}: {name}'s journal run digest moved");
+        }
     }
 }
 
@@ -453,14 +568,19 @@ fn contacts_runs_match_their_golden_digests() {
     assert_pinned(
         "contacts",
         &got,
-        // incremental, fresh semi-naive, fresh naive, two shards
+        // incremental, fresh semi-naive, fresh naive, two shards, one
+        // shard, two worker-thread shards, restored halfway
         [
             0x2540_bb29_931a_3bc6,
             0x7bd6_6719_8bd3_8472,
             0x7bd6_6719_8bd3_8472,
             0x2540_bb29_931a_3bc6,
+            0x2540_bb29_931a_3bc6,
+            0x2540_bb29_931a_3bc6,
+            0x906b_7be7_eb9f_d7db,
         ],
         0xfd88_84cb_aba6_d4dd,
+        0x0905_e582_f5f7_e4ab,
     );
 }
 
@@ -470,13 +590,18 @@ fn accounts_runs_match_their_golden_digests() {
     assert_pinned(
         "accounts",
         &got,
-        // incremental, fresh semi-naive, fresh naive, two shards
+        // incremental, fresh semi-naive, fresh naive, two shards, one
+        // shard, two worker-thread shards, restored halfway
         [
             0x7043_bd70_3556_9951,
             0xe1de_ba0d_11ff_9a17,
             0xe1de_ba0d_11ff_9a17,
             0x7043_bd70_3556_9951,
+            0x7043_bd70_3556_9951,
+            0x7043_bd70_3556_9951,
+            0x81f3_f5c0_a17a_12b2,
         ],
         0xe8c7_57e3_6bf5_0bf7,
+        0xa573_cf39_06ee_338c,
     );
 }
