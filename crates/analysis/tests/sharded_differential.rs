@@ -28,7 +28,8 @@
 //!   only through an order-insensitive `CollectSet`; the analysis must
 //!   keep `kv` partitioned and plan a delta exchange (PR 4 demoted this
 //!   shape), and the partitioned run must still match the single node
-//!   exactly.
+//!   exactly. It also runs with every shard in a fresh evaluation mode,
+//!   whose per-tick rebuild must carry the exchanged foreign rows.
 
 use hydro_analysis::partition::{
     partition, partition_with, ExchangePolicy, HandlerClass, RuleClass, TableClass,
@@ -36,6 +37,7 @@ use hydro_analysis::partition::{
 use hydro_core::builder::dsl::*;
 use hydro_core::builder::ProgramBuilder;
 use hydro_core::facets::{ConsistencyReq, Invariant};
+use hydro_core::interp::EvalMode;
 use hydro_core::shard::{ParallelShardedTransducer, ShardedTransducer};
 use hydro_core::{Program, TickOutput, Transducer, Value};
 use proptest::prelude::*;
@@ -287,6 +289,12 @@ fn outputs_match(single: &TickOutput, shard: &TickOutput, ctx: &str) {
 /// N-shard driver, and the parallel N-worker driver, comparing every
 /// tick's outputs and the merged states three-way.
 fn differential_run(program: &Program, raw: &[(u8, i64, i64)], shards: usize) {
+    differential_run_in(program, raw, shards, EvalMode::Incremental);
+}
+
+/// [`differential_run`] with every shard of both drivers evaluating in
+/// `mode`; the single transducer stays incremental.
+fn differential_run_in(program: &Program, raw: &[(u8, i64, i64)], shards: usize, mode: EvalMode) {
     let report = partition(program);
     let routing = report.routing();
     let mut single = Transducer::new(program.clone()).expect("program validates");
@@ -294,6 +302,9 @@ fn differential_run(program: &Program, raw: &[(u8, i64, i64)], shards: usize) {
         .expect("program validates");
     let mut parallel = ParallelShardedTransducer::new(program.clone(), routing, shards)
         .expect("program validates");
+    // The per-shard setup hook reaches every shard instance.
+    sharded.register_udfs(|t| t.set_eval_mode(mode));
+    parallel.register_udfs(move |t| t.set_eval_mode(mode));
 
     let compare = |single: &mut Transducer,
                    sharded: &mut ShardedTransducer,
@@ -671,14 +682,19 @@ proptest! {
     /// The exchange-classified program: `kv` stays partitioned, its
     /// deltas ship to the gather shard at tick barriers, and `stats`'s
     /// set-valued reads of the aggregate must match the single node
-    /// exactly — on both drivers.
+    /// exactly — on both drivers, with the shards in every evaluation
+    /// mode. A fresh mode rebuilds the gather shard's evaluation state
+    /// every tick, from its own rows *and* the foreign rows other shards
+    /// shipped.
     #[test]
     fn sharded_exchange_program_matches_single(
         raw in prop::collection::vec((0u8..7, 0i64..9, -2i64..6), 0..40),
     ) {
         let program = exchange_program();
-        for shards in [1usize, 2, 4, 7] {
-            differential_run(&program, &raw, shards);
+        for mode in [EvalMode::Incremental, EvalMode::FreshSemiNaive, EvalMode::FreshNaive] {
+            for shards in [1usize, 2, 4, 7] {
+                differential_run_in(&program, &raw, shards, mode);
+            }
         }
     }
 

@@ -100,8 +100,9 @@ fn evaluate_fresh(
 /// Run a unit the naive way. Aggregations behave identically in both
 /// evaluators (they never participate in a fixpoint); only the loop below
 /// is an independent implementation: every rule in full, without indexes,
-/// until a round derives nothing new.
-fn naive_fixpoint(env: &mut UnitEnv<'_>) -> Result<(), EvalError> {
+/// until a round derives nothing new. Also the recompute of a fresh naive
+/// tick's [`EvalState`](super::EvalState).
+pub(super) fn naive_fixpoint(env: &mut UnitEnv<'_>) -> Result<(), EvalError> {
     // The loop below lands rows without reporting them to the cache, so
     // the aggregation pass and every round start from a throwaway one.
     *env.cache = ScanCache::default();

@@ -196,7 +196,7 @@
 //! | `plan.rs` | [`stratify`], the compiled `RuleSet`, SIP/check compilation, [`ProgramPlan`] and its `EvalUnit`s |
 //! | `maintain.rs` | the delta-round kernel, its three sinks, DRed — none of which writes a unit's inputs |
 //! | `state.rs` | [`EvalState`]: the persistent database and per-tick unit classification |
-//! | `fresh.rs` | [`evaluate_views`] / [`evaluate_views_naive`]: the fresh-per-call engines over one stratum skeleton |
+//! | `fresh.rs` | [`evaluate_views`] / [`evaluate_views_naive`]: the fresh-per-call engines over one stratum skeleton; the naive fixpoint, which a fresh naive tick's [`EvalState`] also recomputes its units with |
 //! | `reference.rs` | the map-based evaluator ([`eval_expr`], [`eval_select`], [`evaluate_views_mapref`]) — shares neither the slot pass nor the compiled interpreter with production, which is why the differential suites compare against it |
 
 mod fresh;

@@ -1,6 +1,7 @@
 //! [`EvalState`]: the persistent cross-tick evaluation state, and the
 //! per-tick classification of each unit into a maintenance strategy.
 
+use super::fresh::naive_fixpoint;
 use super::maintain::{AggGroup, UnitEnv};
 use super::plan::{EvalUnit, ProgramPlan};
 use super::relation::{Database, RelDelta, Relation, Row};
@@ -103,21 +104,18 @@ pub struct EvalState {
     /// gather shard computes from shipped deltas instead (units are
     /// SCC-closed, so one tainted head taints the whole unit).
     skip_heads: std::collections::BTreeSet<String>,
+    /// Whether units recompute with the naive fixpoint instead of the
+    /// semi-naive kernel. Set only on a state built for one fresh naive
+    /// tick, whose one evaluation recomputes every unit from empty and
+    /// commits every relation, so the naive path reports no head deltas.
+    pub(crate) naive: bool,
 }
 
 impl EvalState {
-    /// Build the empty state for a program (all base relations and views
-    /// empty; the first [`EvalState::evaluate`] recomputes every unit),
-    /// compiling a private plan.
-    pub fn new(program: &Program) -> Result<Self, EvalError> {
-        Ok(Self::with_plan(
-            program,
-            std::sync::Arc::new(ProgramPlan::compile(program)?),
-        ))
-    }
-
-    /// Build the empty state against an already-compiled (shared) plan.
-    /// The plan must have been compiled from this `program`.
+    /// Build the empty state (all base relations and views empty; the
+    /// first [`EvalState::evaluate`] recomputes every unit) against an
+    /// already-compiled, shared plan. The plan must have been compiled
+    /// from this `program`.
     pub fn with_plan(program: &Program, plan: std::sync::Arc<ProgramPlan>) -> Self {
         let mut db = Database::default();
         let mut key_index = FxHashMap::default();
@@ -151,6 +149,7 @@ impl EvalState {
             changed_scratch: FxHashMap::default(),
             delta_pool: Vec::new(),
             skip_heads: std::collections::BTreeSet::new(),
+            naive: false,
         }
     }
 
@@ -342,6 +341,10 @@ impl EvalState {
             // units above it see as changed inputs.
             let out = match mode {
                 UnitMode::Clean => continue,
+                UnitMode::Recompute if self.naive => {
+                    naive_fixpoint(&mut env)?;
+                    Vec::new()
+                }
                 UnitMode::Recompute => env.recompute()?,
                 UnitMode::Incremental => env.insert_only(&changed)?,
                 UnitMode::Counting => env.counting(&changed, &mut self.supports)?,

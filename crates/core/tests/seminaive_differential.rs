@@ -239,18 +239,11 @@ fn unbound_head_var_error_matches_across_engines() {
     );
 }
 
-/// Stateful-UDF call order: the compiled naive engine and the map-based
-/// naive reference run the *same algorithm*, so not just the derived rows
-/// but the exact sequence of non-memoized UDF invocations must be
-/// bit-identical — the slot pass may not reorder, duplicate, or skip a
-/// call. Covers let-bound calls, guard calls, and calls reached through
-/// recursion (multiple fixpoint rounds re-deriving rows under memoization).
-#[test]
-fn udf_call_order_identical_between_slot_and_map_binding() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let program = ProgramBuilder::new()
+/// A stateful UDF reached three ways: through a recursive view (`tc`),
+/// and through a let and a guard in a view (`scored`) that shares `tc`'s
+/// stratum but not its strongly connected component.
+fn udf_order_program() -> Program {
+    ProgramBuilder::new()
         .mailbox("e", 2)
         .udf("f")
         .rule("tc", vec![v("a"), v("b")], vec![scan("e", &["a", "b"])])
@@ -272,7 +265,21 @@ fn udf_call_order_identical_between_slot_and_map_binding() {
                 guard(ge(v("r"), i(-100))),
             ],
         )
-        .build();
+        .build()
+}
+
+/// Stateful-UDF call order: the compiled naive engine and the map-based
+/// naive reference run the *same algorithm*, so not just the derived rows
+/// but the exact sequence of non-memoized UDF invocations must be
+/// bit-identical — the slot pass may not reorder, duplicate, or skip a
+/// call. Covers let-bound calls, guard calls, and calls reached through
+/// recursion (multiple fixpoint rounds re-deriving rows under memoization).
+#[test]
+fn udf_call_order_identical_between_slot_and_map_binding() {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    let program = udf_order_program();
     let db = db_of(&[("e", &[(1, 2), (2, 3), (3, 1), (1, 3), (2, 2)])]);
 
     let run = |slot_based: bool| -> (Vec<Vec<Value>>, BTreeSet<Vec<Value>>) {
@@ -303,6 +310,56 @@ fn udf_call_order_identical_between_slot_and_map_binding() {
         "non-memoized UDF invocation sequences are bit-identical"
     );
     assert!(!slot_calls.is_empty(), "the program actually exercises the UDF");
+}
+
+/// The same program driven through transducers, its mailbox filling over
+/// four ticks: every engine must make the same non-memoized UDF calls in
+/// the same order, tick after tick. Fresh evaluation is the incremental
+/// engine's rebuild, so it walks the same evaluation units in the same
+/// order — and the naive fixpoint, run per unit, reaches each call in the
+/// order the semi-naive one does.
+#[test]
+fn udf_call_order_identical_across_engines() {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    let ticks: [&[(i64, i64)]; 4] = [
+        &[(1, 2), (2, 3), (3, 1)],
+        &[(1, 3), (2, 2)],
+        &[(3, 4), (4, 1)],
+        &[(4, 4), (2, 5)],
+    ];
+    let run = |mode: EvalMode| -> Vec<Vec<Vec<Value>>> {
+        let mut t = Transducer::new(udf_order_program()).expect("program validates");
+        t.set_eval_mode(mode);
+        let log: Rc<RefCell<Vec<Vec<Value>>>> = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&log);
+        t.register_udf("f", move |args: &[Value]| {
+            sink.borrow_mut().push(args.to_vec());
+            Value::Int(args[0].as_int().unwrap_or(0) - args[1].as_int().unwrap_or(0))
+        });
+        let mut per_tick = Vec::new();
+        for rows in ticks {
+            for &(a, b) in rows {
+                t.enqueue_ok("e", vec![Value::Int(a), Value::Int(b)]);
+            }
+            t.tick().expect("tick");
+            per_tick.push(std::mem::take(&mut *log.borrow_mut()));
+        }
+        per_tick
+    };
+    let incremental = run(EvalMode::Incremental);
+    assert!(
+        incremental.iter().all(|calls| !calls.is_empty()),
+        "every tick calls the UDF"
+    );
+    for mode in [EvalMode::FreshSemiNaive, EvalMode::FreshNaive] {
+        assert_eq!(
+            run(mode),
+            incremental,
+            "{mode:?} calls the UDF in a different order from Incremental"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -51,14 +51,18 @@ echo "== deletion-maintenance differential suites =="
 # the deletes) and the renumbering compaction's unit and property tests in
 # `eval/{relation,scan_cache}.rs`; the commit-watermark pins — the old /
 # new / mid views and `commit` against a model, and probes through each
-# view against a fresh index; and the golden run digests, which pin every
-# engine's replies, sends (in order) and warnings on fixed scripts.
+# view against a fresh index; the stateful-UDF call order, which every
+# engine must share now that a fresh tick is the incremental tick over a
+# rebuilt state; and the golden run digests, which pin every engine's and
+# driver's replies, sends (in order), warnings and recovery journal on
+# fixed scripts, a restore halfway through included.
 cargo test -q -p hydro-core --test seminaive_differential -- \
   counting_dred_agree_with_recompute_and_fresh \
   counting_agg_groups_agree_with_recompute_and_fresh \
   bank_counting_agrees_with_recompute_and_fresh \
   dred_keeps_rows_with_alternative_derivations \
-  steady_state_churn_builds_no_index_and_keeps_scan_order
+  steady_state_churn_builds_no_index_and_keeps_scan_order \
+  udf_call_order_identical_across_engines
 cargo test -q -p hydro-core --lib sip_and_check_queries_are_gated_on_reorder_safety
 cargo test -q -p hydro-core --lib -- \
   compact_returns_the_old_to_new_position_table \
@@ -68,7 +72,9 @@ cargo test -q -p hydro-core --lib -- \
   views_read_the_old_the_new_and_the_surviving_state \
   views_and_commit_match_a_model \
   probes_read_every_view_and_commit_drops_exactly_the_tombstones
-cargo test -q -p hydro --test golden_runs
+cargo test -q -p hydro --test golden_runs -- \
+  contacts_runs_match_their_golden_digests \
+  accounts_runs_match_their_golden_digests
 cargo test -q -p hydro-analysis --test sharded_differential sharded_churn_matches_single
 
 echo

@@ -445,8 +445,12 @@ fn engine(name: &str, text: &str) -> Engine {
         "fresh_seminaive" => single(EvalMode::FreshSemiNaive),
         "fresh_naive" => single(EvalMode::FreshNaive),
         "sharded_1" | "sharded_2" => Engine::Sharded(
-            ShardedTransducer::new(program.clone(), routing(), usize::from(name == "sharded_2") + 1)
-                .expect("program validates"),
+            ShardedTransducer::new(
+                program.clone(),
+                routing(),
+                usize::from(name == "sharded_2") + 1,
+            )
+            .expect("program validates"),
         ),
         "parallel_2" => Engine::Parallel(
             ParallelShardedTransducer::new(program.clone(), routing(), 2)
@@ -506,7 +510,10 @@ type Digests = Vec<(&'static str, u64, u64, Option<u64>)>;
 /// the canonical digest (and, where kept, the journal digest) and return
 /// each engine's run digests.
 fn run_all(text: &str, script: &[Batch]) -> Digests {
-    let per_engine: Vec<Run> = ENGINES.iter().map(|name| run_one(name, text, script)).collect();
+    let per_engine: Vec<Run> = ENGINES
+        .iter()
+        .map(|name| run_one(name, text, script))
+        .collect();
     for (i, ticks) in per_engine.iter().enumerate().skip(1) {
         for (t, (ours, theirs)) in ticks.iter().zip(&per_engine[0]).enumerate() {
             assert_eq!(
