@@ -26,6 +26,9 @@
 //! usually the order in which some engine enumerates a view — and must
 //! say which constant moved and why.
 
+mod digest;
+
+use digest::{Fnv, Rng};
 use hydro::analysis::partition::partition;
 use hydro::lang::parse_program;
 use hydro::logic::interp::{EvalMode, JournalDelta, RecoveryLog, TickOutput, Transducer};
@@ -140,28 +143,6 @@ on audit(k):
   return {x for overdrawn(x)}
 "#;
 
-/// SplitMix64: the scripts' only source of randomness.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn pick(&mut self, from: &[i64]) -> Option<i64> {
-        (!from.is_empty()).then(|| from[self.below(from.len() as u64) as usize])
-    }
-}
-
 type Batch = Vec<(&'static str, Vec<Value>)>;
 
 fn ints(xs: &[i64]) -> Vec<Value> {
@@ -252,69 +233,6 @@ fn accounts_script(seed: u64) -> Vec<Batch> {
         ticks.push(batch);
     }
     ticks
-}
-
-/// FNV-1a, 64-bit.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, n: u64) {
-        self.bytes(&n.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.bytes(&[0]),
-            Value::Bool(b) => self.bytes(&[1, u8::from(*b)]),
-            Value::Int(i) => {
-                self.bytes(&[2]);
-                self.u64(*i as u64);
-            }
-            Value::Str(s) => {
-                self.bytes(&[3]);
-                self.str(s);
-            }
-            Value::Tuple(items) => {
-                self.bytes(&[4]);
-                self.row(items);
-            }
-            Value::Set(items) => {
-                self.bytes(&[5]);
-                self.u64(items.len() as u64);
-                items.iter().for_each(|x| self.value(x));
-            }
-            Value::Map(entries) => {
-                self.bytes(&[6]);
-                self.u64(entries.len() as u64);
-                for (k, x) in entries {
-                    self.str(k);
-                    self.value(x);
-                }
-            }
-        }
-    }
-
-    fn row(&mut self, row: &[Value]) {
-        self.u64(row.len() as u64);
-        row.iter().for_each(|x| self.value(x));
-    }
 }
 
 /// The `(exact, canonical)` digests of one tick's output.
