@@ -194,10 +194,12 @@ pub type ExchangeDelta = Vec<(String, Vec<(Row, Option<Row>)>)>;
 /// A replayable recovery log: a base [`Checkpoint`] plus the
 /// [`JournalDelta`]s committed since. Appending folds the log into a
 /// fresh base every `checkpoint_every` records (the checkpoint cadence),
-/// bounding both replay work and retained memory; [`RecoveryLog::restore`]
-/// rebuilds a replacement [`Transducer`] whose observable state —
-/// tables, scalars, mailbox queues, counters — is bit-identical to the
-/// instance the deltas were drained from.
+/// bounding both replay work and retained memory. Two calls rebuild a
+/// replacement [`Transducer`] whose observable state — tables, scalars,
+/// mailbox queues, counters — is bit-identical to the instance the deltas
+/// were drained from: [`RecoveryLog::into_transducer`] consumes the log
+/// and moves its image into the replacement, and [`RecoveryLog::restore`]
+/// copies it and leaves the log as it was.
 #[derive(Clone, Debug)]
 pub struct RecoveryLog {
     base: Checkpoint,
@@ -245,10 +247,21 @@ impl RecoveryLog {
         ck
     }
 
-    /// Replay the log into a replacement instance over `core` (UDFs must
-    /// be re-registered by the caller — closures don't journal).
+    /// Replay a copy of the log into a replacement instance over `core`,
+    /// keeping the log (UDFs must be re-registered by the caller —
+    /// closures don't journal).
     pub fn restore(&self, core: Arc<ProgramCore>) -> Transducer {
-        Transducer::restore(core, &self.image())
+        self.clone().into_transducer(core)
+    }
+
+    /// Consume the log into a replacement instance over `core`: fold the
+    /// retained deltas into the base, then move the base's tables,
+    /// scalars, mailbox queues and counters into the replacement, so the
+    /// image is never held twice. UDFs must be re-registered by the
+    /// caller.
+    pub fn into_transducer(mut self, core: Arc<ProgramCore>) -> Transducer {
+        self.compact();
+        Transducer::from_checkpoint(core, self.base)
     }
 }
 
@@ -458,9 +471,14 @@ impl Transducer {
     /// be re-registered by the caller (closures don't journal), and
     /// journaling starts off.
     pub fn restore(core: Arc<ProgramCore>, checkpoint: &Checkpoint) -> Transducer {
+        Transducer::from_checkpoint(core, checkpoint.clone())
+    }
+
+    /// [`Transducer::restore`], moving the image in.
+    fn from_checkpoint(core: Arc<ProgramCore>, checkpoint: Checkpoint) -> Transducer {
         let mut t = Transducer::from_core(core);
-        t.state = checkpoint.state.clone();
-        t.mailboxes = checkpoint.mailboxes.clone();
+        t.state = checkpoint.state;
+        t.mailboxes = checkpoint.mailboxes;
         t.next_msg_id = checkpoint.next_msg_id;
         t.tick_no = checkpoint.tick_no;
         t

@@ -1,5 +1,6 @@
 //! The recovery journal's contract: a `RecoveryLog` built from
-//! `take_journal_delta` records rebuilds a replacement transducer whose
+//! `take_journal_delta` records rebuilds, by copy (`restore`) or by
+//! consuming the log (`into_transducer`), a replacement transducer whose
 //! observable state — tables, scalars, mailbox queues, counters — is
 //! bit-identical to the instance the deltas were drained from, and the
 //! replacement behaves identically from that point on.
@@ -139,6 +140,42 @@ fn in_flight_messages_survive_replay() {
     let b = reference.tick().unwrap();
     assert_eq!(a.responses, b.responses, "same ids, same correlation");
     assert_eq!(restored.checkpoint(), reference.checkpoint());
+}
+
+#[test]
+fn consuming_the_log_rebuilds_what_restore_and_the_reference_hold() {
+    let core = ProgramCore::new(program()).unwrap();
+
+    // Cadence 1 folds every record into the base as it lands; 1000 keeps
+    // all of them as deltas, so consuming the log must fold them first.
+    for checkpoint_every in [1, 1000] {
+        let mut reference = Transducer::from_core(Arc::clone(&core));
+        drive(&mut reference, 9, None);
+        put(&mut reference, 42, 7);
+
+        let mut primary = Transducer::from_core(Arc::clone(&core));
+        primary.set_journaling(true);
+        let mut log = RecoveryLog::new(primary.checkpoint(), checkpoint_every);
+        drive(&mut primary, 9, Some(&mut log));
+        // Queued, not ticked: the message is in flight at the kill.
+        put(&mut primary, 42, 7);
+        log.append(primary.take_journal_delta().expect("queued message"));
+        drop(primary);
+
+        let copied = log.restore(Arc::clone(&core));
+        let mut moved = log.into_transducer(Arc::clone(&core));
+        assert_eq!(moved.pending("put"), 1, "cadence {checkpoint_every}");
+        assert_eq!(copied.checkpoint(), reference.checkpoint());
+        assert_eq!(
+            moved.checkpoint(),
+            reference.checkpoint(),
+            "cadence {checkpoint_every}: the moved image must be the reference's"
+        );
+        let a = moved.tick().unwrap();
+        let b = reference.tick().unwrap();
+        assert_eq!(a.responses, b.responses, "same ids, same correlation");
+        assert_eq!(moved.checkpoint(), reference.checkpoint());
+    }
 }
 
 #[test]

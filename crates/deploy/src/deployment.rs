@@ -39,12 +39,15 @@
 //!    half [`DeployConfig::heartbeat_timeout_us`]. When a partition's
 //!    owner goes silent past the timeout, the router sends `Promote`,
 //!    re-targets the partition at the backup, and the backup replays its
-//!    log: `RecoveryLog::restore` rebuilds a bit-identical transducer
-//!    (same state, mailboxes, message-id and tick counters), the pending
-//!    request queue and served-reply cache are installed from the last
-//!    record, and the backup starts ticking and heartbeating as the new
-//!    owner. Heartbeats from a node that is *not* the current owner are
-//!    ignored, so a revived old primary cannot reclaim the partition.
+//!    log: `RecoveryLog::into_transducer` consumes the log and moves its
+//!    compacted image into a bit-identical transducer (same state,
+//!    mailboxes, message-id and tick counters), the pending request queue
+//!    and served-reply cache replicated with the records move into the
+//!    serving node, the reorder buffer is dropped, and the backup starts
+//!    ticking and heartbeating as the new owner. Nothing of the passive
+//!    replica is kept alongside the owner it became. Heartbeats from a
+//!    node that is *not* the current owner are ignored, so a revived old
+//!    primary cannot reclaim the partition.
 //! 4. **Retry, dedup, and shedding.** The router retries unanswered
 //!    requests with bounded exponential backoff
 //!    ([`DeployConfig::retry_base_us`] doubling up to
@@ -876,6 +879,45 @@ mod tests {
             faulty.owner_handle(1).borrow().state(),
             reference.owner_handle(1).borrow().state(),
             "journal replay must rebuild the exact pre-kill state"
+        );
+    }
+
+    #[test]
+    fn retry_after_promotion_gets_the_served_reply_without_reexecuting() {
+        use hydro_core::builder::dsl::*;
+        use hydro_core::builder::ProgramBuilder;
+        // Not idempotent: every execution bumps the counter.
+        let program = ProgramBuilder::new()
+            .var("count", int(0))
+            .on("bump", &[], vec![
+                assign_scalar("count", add(scalar("count"), i(1))),
+                ret(add(scalar("count"), i(1))),
+            ])
+            .build();
+        let cfg = DeployConfig {
+            replicate_shards: true,
+            ..DeployConfig::default()
+        };
+        let mut d = deploy_sharded(&program, cfg, 1, |_| {});
+        let r = d.client_request("bump", vec![]);
+        // Run until the primary has served the request, then cut the
+        // router off it. The backup still gets the record and acks it, so
+        // the primary releases the reply, but the reply (and every later
+        // heartbeat) dies on the cut: the router retries, then promotes.
+        while d.shard_handles[0].borrow().scalar("count") != Some(&int(1)) {
+            assert!(d.sim.step(), "the request must be served");
+        }
+        d.sim.partition(&[d.router], &[d.shards[0]]);
+        d.run_for(300_000);
+
+        assert!(d.promoted_at(0).is_some(), "the backup took the shard over");
+        assert!(d.status.borrow().retries >= 1);
+        assert!(d.sim.stats().dropped_by_partition >= 1);
+        assert_eq!(d.reply(r), Some(int(1)), "the cached reply, not a second run");
+        assert_eq!(
+            d.owner_handle(0).borrow().scalar("count"),
+            Some(&int(1)),
+            "the promoted owner must not execute the retry again"
         );
     }
 

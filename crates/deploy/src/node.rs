@@ -548,14 +548,27 @@ impl NodeLogic<NetMsg> for TransducerNode {
 /// A passive, AZ-independent replica of one shard: applies the primary's
 /// [`NetMsg::ReplDelta`] stream into a [`hydro_core::RecoveryLog`]
 /// (checkpoint + deltas, compacted at the checkpoint cadence) and acks
-/// cumulatively. On [`NetMsg::Promote`] it replays the log into a
-/// bit-identical replacement transducer, installs the replicated request
-/// state (served replies, unanswered requests), and becomes an ordinary
-/// serving [`TransducerNode`] — heartbeating as the partition's new
-/// owner. Everything after promotion delegates to the inner node.
+/// cumulatively. On [`NetMsg::Promote`] it consumes the log into a
+/// bit-identical replacement transducer, moves the replicated request
+/// state (served replies, unanswered requests) into it, and becomes an
+/// ordinary serving [`TransducerNode`] — heartbeating as the partition's
+/// new owner. Everything after promotion delegates to the inner node.
 pub struct BackupNode {
     shard: usize,
     core: Arc<hydro_core::ProgramCore>,
+    /// The replicated state while passive; `None` once promoted, when it
+    /// has moved into `inner`.
+    passive: Option<Passive>,
+    /// The dormant serving node (placement routes and heartbeat already
+    /// wired); its transducer is replaced by the replayed one on promote.
+    inner: TransducerNode,
+    /// How the replayed transducer re-binds its UDFs (closures don't
+    /// journal; re-registration is the caller's recovery obligation).
+    register_udfs: Rc<dyn Fn(&mut Transducer)>,
+}
+
+/// A passive backup's copy of its primary.
+struct Passive {
     log: hydro_core::RecoveryLog,
     /// Next replication sequence number expected.
     next_seq: u64,
@@ -565,13 +578,25 @@ pub struct BackupNode {
     served: FxHashMap<u64, Value>,
     /// Replicated post-tick pending snapshot: (msg id, request id, node).
     pending: Vec<(u64, u64, NodeId)>,
-    /// The dormant serving node (placement routes and heartbeat already
-    /// wired); its transducer is replaced by the replayed one on promote.
-    inner: TransducerNode,
-    active: bool,
-    /// How the replayed transducer re-binds its UDFs (closures don't
-    /// journal; re-registration is the caller's recovery obligation).
-    register_udfs: Rc<dyn Fn(&mut Transducer)>,
+}
+
+impl Passive {
+    /// Apply one in-order delta record.
+    fn apply(&mut self, msg: NetMsg) {
+        let NetMsg::ReplDelta {
+            delta,
+            served,
+            pending,
+            ..
+        } = msg
+        else {
+            return;
+        };
+        self.log.append(*delta);
+        self.served.extend(served);
+        self.pending = pending;
+        self.next_seq += 1;
+    }
 }
 
 impl BackupNode {
@@ -589,13 +614,14 @@ impl BackupNode {
         BackupNode {
             shard,
             core,
-            log: hydro_core::RecoveryLog::new(base, checkpoint_every),
-            next_seq: 0,
-            buffer: std::collections::BTreeMap::new(),
-            served: FxHashMap::default(),
-            pending: Vec::new(),
+            passive: Some(Passive {
+                log: hydro_core::RecoveryLog::new(base, checkpoint_every),
+                next_seq: 0,
+                buffer: std::collections::BTreeMap::new(),
+                served: FxHashMap::default(),
+                pending: Vec::new(),
+            }),
             inner,
-            active: false,
             register_udfs,
         }
     }
@@ -613,40 +639,27 @@ impl BackupNode {
 
     /// Whether this backup has been promoted to partition owner.
     pub fn promoted(&self) -> bool {
-        self.active
+        self.passive.is_none()
     }
 
-    /// Apply one in-order delta record.
-    fn apply(&mut self, msg: NetMsg) {
-        let NetMsg::ReplDelta {
-            delta,
-            served,
-            pending,
-            ..
-        } = msg
-        else {
+    /// Replay the log and take over the partition. The log, the served
+    /// cache and the pending snapshot move into the serving node; the
+    /// reorder buffer is dropped.
+    fn promote(&mut self, ctx: &mut Ctx<NetMsg>) {
+        let Some(passive) = self.passive.take() else {
             return;
         };
-        self.log.append(*delta);
-        self.served.extend(served);
-        self.pending = pending;
-        self.next_seq += 1;
-    }
-
-    /// Replay the log and take over the partition.
-    fn promote(&mut self, ctx: &mut Ctx<NetMsg>) {
-        let mut t = self.log.restore(Arc::clone(&self.core));
+        let mut t = passive.log.into_transducer(Arc::clone(&self.core));
         t.set_run_condition_handlers(self.shard == 0);
         (self.register_udfs)(&mut t);
         *self.inner.transducer.borrow_mut() = t;
-        self.inner.pending = self
+        self.inner.enqueued = passive.pending.iter().map(|(_, rid, _)| *rid).collect();
+        self.inner.pending = passive
             .pending
-            .iter()
-            .map(|(msg_id, rid, reply_to)| (*msg_id, (*rid, *reply_to)))
+            .into_iter()
+            .map(|(msg_id, rid, reply_to)| (msg_id, (rid, reply_to)))
             .collect();
-        self.inner.enqueued = self.pending.iter().map(|(_, rid, _)| *rid).collect();
-        self.inner.served = self.served.clone();
-        self.active = true;
+        self.inner.served = passive.served;
         // Start serving: tick loop now, ownership beacon immediately so
         // the router's staleness clock resets to the real owner.
         ctx.set_timer(self.inner.tick_every_us, TICK_TIMER);
@@ -658,7 +671,7 @@ impl BackupNode {
 
 impl NodeLogic<NetMsg> for BackupNode {
     fn on_message(&mut self, ctx: &mut Ctx<NetMsg>, src: NodeId, msg: NetMsg) {
-        if self.active {
+        let Some(passive) = self.passive.as_mut() else {
             match msg {
                 // Late replication traffic from a revived old primary is
                 // ignored: this node owns the partition now.
@@ -666,23 +679,23 @@ impl NodeLogic<NetMsg> for BackupNode {
                 other => self.inner.on_message(ctx, src, other),
             }
             return;
-        }
+        };
         match msg {
             NetMsg::ReplDelta { shard, seq, .. } => {
                 debug_assert_eq!(shard, self.shard);
-                if seq >= self.next_seq {
-                    self.buffer.insert(seq, msg);
-                    while let Some(m) = self.buffer.remove(&self.next_seq) {
-                        self.apply(m);
+                if seq >= passive.next_seq {
+                    passive.buffer.insert(seq, msg);
+                    while let Some(m) = passive.buffer.remove(&passive.next_seq) {
+                        passive.apply(m);
                     }
                 }
                 // Cumulative ack — also re-acks retransmitted duplicates.
-                if self.next_seq > 0 {
+                if passive.next_seq > 0 {
                     ctx.send(
                         src,
                         NetMsg::ReplAck {
                             shard: self.shard,
-                            seq: self.next_seq - 1,
+                            seq: passive.next_seq - 1,
                         },
                     );
                 }
@@ -699,7 +712,7 @@ impl NodeLogic<NetMsg> for BackupNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<NetMsg>, timer: u64) {
-        if self.active {
+        if self.promoted() {
             self.inner.on_timer(ctx, timer);
         }
     }

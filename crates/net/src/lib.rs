@@ -17,11 +17,15 @@
 //! failure-domain hierarchy ([`DomainPath`]); messages can be dropped with
 //! a configured probability, and node pairs can be partitioned. Time is
 //! microseconds on a virtual clock.
+//!
+//! Each scheduled event lives in its own heap entry and is freed when it
+//! runs, so the simulator's storage grows with the events in flight, not
+//! with the events a run has executed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rustc_hash::FxHashSet;
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Identifies a simulated node.
@@ -143,6 +147,35 @@ enum Event<M> {
     Timer { node: NodeId, timer: u64 },
 }
 
+/// A queued event with its firing time and schedule sequence number.
+/// Ordered by `(at, seq)` alone, reversed, so the max-heap pops the
+/// earliest time first and, within one time, the earliest scheduled.
+struct Scheduled<M> {
+    at: SimTime,
+    seq: u64,
+    event: Event<M>,
+}
+
+impl<M> PartialEq for Scheduled<M> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<M> Eq for Scheduled<M> {}
+
+impl<M> PartialOrd for Scheduled<M> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<M> Ord for Scheduled<M> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
 struct NodeSlot<M> {
     logic: Box<dyn NodeLogic<M>>,
     domain: DomainPath,
@@ -152,9 +185,10 @@ struct NodeSlot<M> {
 /// The discrete-event simulator.
 pub struct Sim<M> {
     nodes: Vec<NodeSlot<M>>,
-    queue: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-    /// Payload storage parallel to queue entries (events are not `Ord`).
-    events: Vec<Option<Event<M>>>,
+    /// Events in flight, each owning its payload: storage grows with the
+    /// events scheduled and not yet run, and an event's entry is freed
+    /// when it pops.
+    queue: BinaryHeap<Scheduled<M>>,
     link: LinkModel,
     rng: StdRng,
     now: SimTime,
@@ -170,7 +204,6 @@ impl<M: 'static> Sim<M> {
         Sim {
             nodes: Vec::new(),
             queue: BinaryHeap::new(),
-            events: Vec::new(),
             link,
             rng: StdRng::seed_from_u64(seed),
             now: 0,
@@ -320,26 +353,28 @@ impl<M: 'static> Sim<M> {
     }
 
     fn schedule_deliver(&mut self, src: NodeId, dst: NodeId, msg: M, latency: SimTime) {
-        let slot = self.events.len();
-        self.events.push(Some(Event::Deliver { src, dst, msg }));
-        self.seq += 1;
-        self.queue.push(Reverse((self.now + latency, self.seq, slot)));
+        self.schedule(latency, Event::Deliver { src, dst, msg });
     }
 
     fn schedule_timer(&mut self, node: NodeId, timer: u64, delay: SimTime) {
-        let slot = self.events.len();
-        self.events.push(Some(Event::Timer { node, timer }));
+        self.schedule(delay, Event::Timer { node, timer });
+    }
+
+    fn schedule(&mut self, delay: SimTime, event: Event<M>) {
         self.seq += 1;
-        self.queue.push(Reverse((self.now + delay, self.seq, slot)));
+        self.queue.push(Scheduled {
+            at: self.now + delay,
+            seq: self.seq,
+            event,
+        });
     }
 
     /// Process one event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse((time, _, slot))) = self.queue.pop() else {
+        let Some(Scheduled { at, event, .. }) = self.queue.pop() else {
             return false;
         };
-        self.now = time;
-        let event = self.events[slot].take().expect("event taken once");
+        self.now = at;
         match event {
             Event::Deliver { src, dst, msg } => {
                 // In-flight messages crossing a cut are lost (see
@@ -403,8 +438,8 @@ impl<M: 'static> Sim<M> {
 
     /// Run until virtual time passes `deadline` (or the queue drains).
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(Reverse((t, _, _))) = self.queue.peek() {
-            if *t > deadline {
+        while let Some(next) = self.queue.peek() {
+            if next.at > deadline {
                 break;
             }
             self.step();

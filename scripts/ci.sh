@@ -78,6 +78,21 @@ cargo test -q -p hydro --test golden_runs -- \
 cargo test -q -p hydro-analysis --test sharded_differential sharded_churn_matches_single
 
 echo
+echo "== simulated deployments: golden runs, event storage, promotion =="
+# The simulated cluster's pins, by name: the golden deployment digests
+# (replies with their virtual times, network and router counters of a
+# replicated covid deployment and of a sharded failover); the simulator's
+# storage staying flat while events run (live heap measured by a counting
+# allocator); and promotion, which consumes the backup's recovery log into
+# the replacement and answers a retry from the moved served cache.
+cargo test -q -p hydro --test golden_deployments
+cargo test -q -p hydro-net --test event_storage
+cargo test -q -p hydro-core --test journal_replay \
+  consuming_the_log_rebuilds_what_restore_and_the_reference_hold
+cargo test -q -p hydro-deploy --lib \
+  retry_after_promotion_gets_the_served_reply_without_reexecuting
+
+echo
 echo "== serving-layer differential suites =="
 # The open-loop serving loop's pinning tests, by name, so a batching
 # divergence is unmissable in CI output: the loop-vs-replay differential
@@ -172,10 +187,13 @@ echo "== benchmark package: its tests, and one short workload =="
 # `benchmark/` is a workspace of its own that the commands above do not
 # see. Its tests cover the generators, oracle and statistics; the short
 # `view_churn` run compiles the adapter against the current crates and
-# checks every reply (a signature change or a wrong reply fails it).
-# Judged by exit code only — two seconds is no timing gate.
+# checks every reply (a signature change or a wrong reply fails it), and
+# the short `sim_failover` run checks the replicated deployment's oracle:
+# no acknowledged write lost, and the killed primary's backup promoted.
+# Judged by exit code only — these runs are no timing gate.
 (cd benchmark && cargo test --offline -q)
 bash benchmark/run.sh --workload view_churn --seconds 2 >/dev/null
+bash benchmark/run.sh --workload sim_failover --seconds 1 >/dev/null
 
 echo
 echo "== cargo clippy --workspace -- -D warnings =="
