@@ -2,9 +2,6 @@
 //! FNV-1a digest their runs fold into. Both are written out here rather
 //! than taken from a crate, so a pinned digest depends on nothing a
 //! toolchain or dependency update may change.
-//!
-//! Each golden test binary uses part of this module.
-#![allow(dead_code)]
 
 use hydro::logic::value::Value;
 
