@@ -69,11 +69,12 @@
 //! shard, so the local monitor sees every violating pair.
 //!
 //! The result lowers to a [`RoutingSpec`] (routes + exchange plan) for
-//! [`hydro_core::shard::ShardedTransducer`] and
-//! [`hydro_core::shard::ParallelShardedTransducer`]; [`sharded`] and
-//! [`parallel_sharded`] are the one-call conveniences. The differential
-//! suite (`tests/sharded_differential.rs`) pins the soundness of exactly
-//! this pipeline — serial and parallel drivers alike — for
+//! the one sharded driver, [`hydro_core::shard::ShardSet`], over either
+//! executor; [`sharded`] (inline) and [`parallel_sharded`] (one worker
+//! thread per shard) are the one-call conveniences, and UDFs bind through
+//! the driver's `register_udfs`. The differential suite
+//! (`tests/sharded_differential.rs`) pins the soundness of exactly this
+//! pipeline — both executors alike — for
 //! analysis-produced specs: a sharded run is indistinguishable from the
 //! single transducer, exchange plans included.
 

@@ -22,8 +22,10 @@
 //! "single-node metaphor": a global view of state and one logical clock of
 //! atomic ticks. A transducer is split into an immutable, `Arc`-shared
 //! compiled half ([`interp::ProgramCore`]) and per-instance mutable state,
-//! so replicas and shards pay compilation once; [`shard::ShardedTransducer`]
-//! runs N key-partitioned shards of one core behind a hash router.
+//! so replicas and shards pay compilation once; [`shard::ShardSet`] runs N
+//! key-partitioned shards of one core behind a hash router, either inline
+//! ([`shard::ShardedTransducer`]) or one worker thread per shard
+//! ([`shard::ParallelShardedTransducer`]).
 //! Distribution — replication, partitioning, coordination,
 //! delay — is layered on by `hydrolysis` (compilation) and `hydro-deploy`
 //! (placement and protocols) *without changing program semantics*, which is

@@ -106,11 +106,13 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// Anything the serve loop can drive: one tick-based transducer exposing
 /// sequential message-id enqueue and a tick barrier. Implemented by
-/// [`crate::interp::Transducer`] (one shard),
-/// [`crate::shard::ShardedTransducer`] and
-/// [`crate::shard::ParallelShardedTransducer`] — all three produce
-/// bit-identical outputs for the same enqueue/tick sequence, which is
-/// what lets the differential suite swap them freely under the loop.
+/// [`crate::interp::Transducer`] (one shard) and by the one sharded
+/// driver, [`crate::shard::ShardSet`], over either executor
+/// ([`crate::shard::ShardedTransducer`] inline,
+/// [`crate::shard::ParallelShardedTransducer`] on worker threads) — all
+/// three produce bit-identical outputs for the same enqueue/tick
+/// sequence, which is what lets the differential suite swap them freely
+/// under the loop.
 pub trait ServeDriver {
     /// Enqueue one message, returning its globally sequential id.
     fn enqueue(&mut self, mailbox: &str, row: Row) -> Result<u64, TransducerError>;
@@ -132,27 +134,15 @@ impl ServeDriver for crate::interp::Transducer {
     }
 }
 
-impl ServeDriver for crate::shard::ShardedTransducer {
+impl<E: crate::shard::ShardExec> ServeDriver for crate::shard::ShardSet<E> {
     fn enqueue(&mut self, mailbox: &str, row: Row) -> Result<u64, TransducerError> {
-        crate::shard::ShardedTransducer::enqueue(self, mailbox, row)
+        crate::shard::ShardSet::enqueue(self, mailbox, row)
     }
     fn tick(&mut self) -> Result<TickOutput, TransducerError> {
-        crate::shard::ShardedTransducer::tick(self)
+        crate::shard::ShardSet::tick(self)
     }
     fn shard_count(&self) -> usize {
-        crate::shard::ShardedTransducer::shard_count(self)
-    }
-}
-
-impl ServeDriver for crate::shard::ParallelShardedTransducer {
-    fn enqueue(&mut self, mailbox: &str, row: Row) -> Result<u64, TransducerError> {
-        crate::shard::ParallelShardedTransducer::enqueue(self, mailbox, row)
-    }
-    fn tick(&mut self) -> Result<TickOutput, TransducerError> {
-        crate::shard::ParallelShardedTransducer::tick(self)
-    }
-    fn shard_count(&self) -> usize {
-        crate::shard::ParallelShardedTransducer::shard_count(self)
+        crate::shard::ShardSet::shard_count(self)
     }
 }
 

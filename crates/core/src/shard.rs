@@ -4,7 +4,7 @@
 //! evaluation order (§4–5): a Hydrologic program whose handlers only ever
 //! touch state keyed by one of their parameters can be split across
 //! machines, with the runtime hash-routing each message to the shard that
-//! owns its key. [`ShardedTransducer`] is that runtime for one process:
+//! owns its key. [`ShardSet`] is that runtime for one process:
 //!
 //! * every shard is a full [`Transducer`] instantiated from the **same
 //!   shared [`ProgramCore`]** (compilation happens once — the
@@ -13,17 +13,17 @@
 //!   analysis, or written by hand — maps each mailbox to a [`Route`]:
 //!   hash-partitioned by one message parameter, or pinned to shard 0
 //!   (the *global* shard, where non-partitionable state lives);
-//! * [`ShardedTransducer::enqueue`] assigns globally sequential message
+//! * [`ShardSet::enqueue`] assigns globally sequential message
 //!   ids (so responses correlate exactly as a single transducer's would)
 //!   and routes by [`partition_hash`] of the routing parameter;
-//! * [`ShardedTransducer::tick`] ticks every shard — untouched shards
+//! * [`ShardSet::tick`] ticks every shard — untouched shards
 //!   no-op in microseconds thanks to cross-tick incremental maintenance —
 //!   and merges the per-shard [`TickOutput`]s deterministically: responses
 //!   are interleaved per handler in message-id order and sends per handler
 //!   in source-message-id order off their recorded provenance — both
 //!   reconstruct the exact single-node emission order — while warnings
 //!   concatenate in shard order;
-//! * [`ShardedTransducer::run_to_quiescence`] rewrites cross-shard `send`
+//! * [`ShardSet::run_to_quiescence`] rewrites cross-shard `send`
 //!   effects into routed re-enqueues: a send whose destination mailbox is
 //!   local to the program goes back through the router, landing on the
 //!   shard that owns the destination key.
@@ -57,29 +57,41 @@
 //! rows keyed by a pure function of parameter `p` (and no scalars, whole
 //! relations, or UDFs), then table contents partition disjointly across
 //! shards, per-shard execution observes exactly what single-node
-//! execution would, and [`ShardedTransducer::merged_state`] equals the
+//! execution would, and [`ShardSet::merged_state`] equals the
 //! single transducer's state — this is what the differential suite pins
 //! for the analysis-produced specs, including the `shards = 1` case,
 //! which must be (and is) bit-identical. An unsound hand-written spec
 //! silently degrades to "eventually inconsistent sharding"; use the
 //! analysis.
 //!
-//! **Two drivers, one semantics.** [`ShardedTransducer`] ticks its shards
-//! sequentially on the calling thread — the minimal-moving-parts
-//! reference, whose scale-out win (experiment E16) is *work isolation*: a
-//! tick only pays recompute/journal costs on the shards its messages
-//! touch. [`ParallelShardedTransducer`] runs the same shards as **one OS
-//! worker thread each**, fed per-shard bounded inboxes by a router
-//! thread, all sharing the one compiled `Arc<ProgramCore>`; a tick
-//! broadcasts through the router, workers tick concurrently, and the
-//! coordinator buckets results *by shard index* before running the same
-//! deterministic merge — so thread completion order never reaches an
-//! observable output, and the parallel driver is bit-identical to the
-//! serial one (and hence to the single transducer) by construction. The
-//! per-shard inbox FIFO carries ordering end-to-end: enqueues precede the
-//! tick that consumes them, and exchange deltas forwarded after tick `T`
-//! land on shard 0 before the tick `T+1` broadcast. Experiment E18
-//! measures the added multicore scaling on the E16 workload.
+//! **One driver, two executors.** [`ShardSet`] owns everything above —
+//! admission, id assignment, routing, the merge, exchange forwarding,
+//! first-error semantics — and delegates the per-shard steps to a
+//! [`ShardExec`]. [`Inline`] ([`ShardedTransducer`]) ticks the shards in
+//! order on the calling thread: the minimal-moving-parts reference, whose
+//! scale-out win (experiment E16) is *work isolation* — a tick only pays
+//! recompute/journal costs on the shards its messages touch. [`Threads`]
+//! ([`ParallelShardedTransducer`]) runs each shard on an OS worker thread
+//! of its own, fed through a per-shard inbox. The coordinator is the
+//! single sender to every inbox, so each inbox is FIFO end to end: a
+//! tick's messages travel with its tick command, and exchange deltas
+//! forwarded after tick `T` land on shard 0 before the tick `T+1` command.
+//! Workers tick concurrently; the coordinator reads their reports in shard
+//! order, so thread completion order never reaches an observable output,
+//! and both executors are bit-identical to the single transducer by
+//! construction. A worker that dies (a panicking UDF, say) disconnects the
+//! report channels only it sends on; the coordinator joins it and resumes
+//! its panic on the calling thread, which is how [`Inline`] fails for the
+//! same UDF, and dropping the driver afterwards still joins the rest.
+//!
+//! Multicore scaling is modest. On a 2-vCPU host (`nproc` = 2), twelve
+//! traced `kv_read` runs of the benchmark, in two series, read
+//! `shard.parallel_speedup_b256` (serial ÷ parallel time per message, two
+//! shards, 256 messages per tick) at 0.88–1.65, series medians 1.38 and
+//! 1.48, and `shard.parallel_tick_us_b1` at 16.5–32 µs against 2.9–5.3 µs
+//! for `shard.serial_tick_us_b1`; where the parallel tick's extra time
+//! goes is not yet attributed. The 1.86× and 3.03× once recorded for
+//! experiment E18 were not reproduced there.
 
 use crate::eval::Row;
 use crate::interp::{
@@ -88,7 +100,8 @@ use crate::interp::{
 use crate::value::Value;
 use crossbeam::channel;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
 /// How messages to one mailbox are distributed across shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,17 +193,60 @@ pub fn partition_hash(v: &Value) -> u64 {
     h.finish()
 }
 
-/// N key-partitioned shards of one program, driven in lockstep. See the
-/// module docs for the routing/merging contract.
-pub struct ShardedTransducer {
+/// N key-partitioned shards of one program, driven in lockstep by one
+/// coordinator: the routing, id assignment, merge and exchange forwarding
+/// live here, and `E` runs the per-shard steps. See the module docs for
+/// the routing/merging contract.
+pub struct ShardSet<E: ShardExec> {
     core: Arc<ProgramCore>,
     routing: RoutingSpec,
-    shards: Vec<Transducer>,
+    exec: E,
     next_msg_id: u64,
+    tick_no: u64,
     merge_scratch: MergeScratch,
 }
 
-impl ShardedTransducer {
+/// The serial driver: every shard ticks on the calling thread.
+pub type ShardedTransducer = ShardSet<Inline>;
+
+/// The parallel driver: one worker thread per shard.
+pub type ParallelShardedTransducer = ShardSet<Threads>;
+
+/// The per-shard steps a [`ShardSet`] delegates: building, feeding,
+/// ticking and reading its shards. Shard 0 is the global/gather shard.
+pub trait ShardExec {
+    /// Instantiate `shards` shards over `core`: condition handlers on
+    /// shard 0 only, exchange export on the others.
+    fn build(core: &Arc<ProgramCore>, shards: usize, exchange: &ExchangeSpec) -> Self;
+    /// Number of shards.
+    fn shard_count(&self) -> usize;
+    /// Queue a routed message on `shard` under its global id.
+    fn enqueue(
+        &mut self,
+        shard: usize,
+        id: u64,
+        mailbox: &str,
+        row: Row,
+    ) -> Result<(), TransducerError>;
+    /// Begin a tick on every shard; a no-op where
+    /// [`ShardExec::tick_output`] runs the tick itself.
+    fn start_tick(&mut self);
+    /// `shard`'s output for the current tick. Called in shard order.
+    fn tick_output(&mut self, shard: usize) -> Result<TickOutput, TransducerError>;
+    /// A shard before `from` failed the tick: shards `from..` are not
+    /// asked for their output.
+    fn abandon_tick(&mut self, _from: usize) {}
+    /// `shard`'s exchange export for the tick just finished.
+    fn exchange_delta(&mut self, shard: usize) -> ExchangeDelta;
+    /// Fold an exchange delta into the gather shard.
+    fn apply_exchange(&mut self, delta: ExchangeDelta);
+    /// Messages pending across all shards.
+    fn pending_total(&self) -> usize;
+    /// A clone of every shard's state, in shard order.
+    fn states(&self) -> Vec<State>;
+}
+
+impl<E: ShardExec> ShardSet<E> {
     /// Compile `program` once and instantiate `shards` partitions of it.
     /// `shards` must be at least 1; shard 0 is the global shard.
     pub fn new(
@@ -204,35 +260,20 @@ impl ShardedTransducer {
     /// Instantiate over an already-compiled core.
     pub fn from_core(core: Arc<ProgramCore>, routing: RoutingSpec, shards: usize) -> Self {
         assert!(shards >= 1, "a sharded transducer needs at least one shard");
-        let shards = (0..shards)
-            .map(|i| configure_shard(&core, i, shards, &routing.exchange))
-            .collect();
-        ShardedTransducer {
+        let exec = E::build(&core, shards, &routing.exchange);
+        ShardSet {
             core,
             routing,
-            shards,
+            exec,
             next_msg_id: 1,
+            tick_no: 0,
             merge_scratch: MergeScratch::default(),
-        }
-    }
-
-    /// Run `setup` once per shard — how UDF implementations are bound
-    /// (each shard gets its own instance, mirroring per-replica
-    /// registration in `hydro-deploy`).
-    pub fn register_udfs(&mut self, setup: impl Fn(&mut Transducer)) {
-        for s in &mut self.shards {
-            setup(s);
         }
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Read access to one shard (between ticks).
-    pub fn shard(&self, i: usize) -> &Transducer {
-        &self.shards[i]
+        self.exec.shard_count()
     }
 
     /// The shared compiled core.
@@ -250,10 +291,10 @@ impl ShardedTransducer {
     /// transducer would have assigned).
     pub fn enqueue(&mut self, mailbox: &str, row: Row) -> Result<u64, TransducerError> {
         self.core.admit(mailbox, &row)?;
-        let shard = self.routing.shard_of(mailbox, &row, self.shards.len());
+        let shard = self.routing.shard_of(mailbox, &row, self.exec.shard_count());
         let id = self.next_msg_id;
         self.next_msg_id += 1;
-        self.shards[shard].enqueue_with_id(id, mailbox, row)?;
+        self.exec.enqueue(shard, id, mailbox, row)?;
         Ok(id)
     }
 
@@ -262,25 +303,35 @@ impl ShardedTransducer {
         self.enqueue(mailbox, row).expect("known mailbox")
     }
 
-    /// Messages pending for a mailbox, summed across shards.
-    pub fn pending(&self, mailbox: &str) -> usize {
-        self.shards.iter().map(|s| s.pending(mailbox)).sum()
-    }
-
     /// Total messages pending across all shards and mailboxes.
     pub fn pending_total(&self) -> usize {
-        self.shards.iter().map(Transducer::pending_total).sum()
+        self.exec.pending_total()
+    }
+
+    /// Ticks executed so far (shards run in lockstep).
+    pub fn tick_no(&self) -> u64 {
+        self.tick_no
     }
 
     /// Execute one tick on every shard, ship exchange deltas to the
-    /// gather shard, and merge the outputs. On an evaluation error the
-    /// first failing shard's error is returned (shards before it have
-    /// already ticked; like a single transducer after an error, the
-    /// instance should be considered poisoned).
+    /// gather shard, and merge the outputs in shard order — so the order
+    /// in which worker threads finish never reaches an observable output.
+    /// On an evaluation error the first failing shard's error is returned
+    /// (like a single transducer after an error, the instance should be
+    /// considered poisoned).
     pub fn tick(&mut self) -> Result<TickOutput, TransducerError> {
-        let mut outs = Vec::with_capacity(self.shards.len());
-        for s in &mut self.shards {
-            outs.push(s.tick()?);
+        self.tick_no += 1;
+        self.exec.start_tick();
+        let shards = self.exec.shard_count();
+        let mut outs = Vec::with_capacity(shards);
+        for i in 0..shards {
+            match self.exec.tick_output(i) {
+                Ok(out) => outs.push(out),
+                Err(e) => {
+                    self.exec.abandon_tick(i + 1);
+                    return Err(e);
+                }
+            }
         }
         // Tick barrier: every shard has committed this tick; ship the net
         // deltas of exchange tables to the gather shard, in shard order
@@ -288,10 +339,10 @@ impl ShardedTransducer {
         // it just keeps the journal deterministic). The exported fold
         // reads the effect journal *before* the next tick drains it.
         if !self.routing.exchange.is_empty() {
-            for i in 1..self.shards.len() {
-                let delta = self.shards[i].exchange_delta();
+            for i in 1..shards {
+                let delta = self.exec.exchange_delta(i);
                 if !delta.is_empty() {
-                    self.shards[0].apply_exchange_delta(delta);
+                    self.exec.apply_exchange(delta);
                 }
             }
         }
@@ -305,17 +356,48 @@ impl ShardedTransducer {
     /// (Shard 0's exchange-received *foreign mirror* is deliberately not
     /// part of [`State`]: the owning shards' rows are the authority.)
     pub fn merged_state(&self) -> State {
-        merge_states(self.shards.iter().map(|s| s.state().clone()).collect())
+        merge_states(self.exec.states())
+    }
+
+    /// Convenience driver mirroring [`Transducer::run_to_quiescence`]:
+    /// repeatedly tick, re-routing any sends whose mailbox exists locally
+    /// through the partition router (the "cross-shard send → routed
+    /// re-enqueue" rewrite). External sends accumulate in the returned
+    /// output. Stops when quiescent or after `max_ticks`.
+    ///
+    /// Because [`Self::tick`] merges sends in exact single-node emission
+    /// order (via [`crate::interp::SendOut`] provenance), the re-enqueues
+    /// here assign the same message ids a single transducer's
+    /// `run_to_quiescence` would — cross-shard message cascades replay the
+    /// single-node interleaving exactly, not just as a multiset.
+    pub fn run_to_quiescence(&mut self, max_ticks: usize) -> Result<TickOutput, TransducerError> {
+        let mut all = TickOutput::default();
+        for _ in 0..max_ticks {
+            if self.pending_total() == 0 {
+                break;
+            }
+            let out = self.tick()?;
+            all.responses.extend(out.responses);
+            all.warnings.extend(out.warnings);
+            all.messages_processed += out.messages_processed;
+            for send in out.sends {
+                if self.core.has_mailbox(&send.mailbox) {
+                    self.enqueue(&send.mailbox, send.row)?;
+                } else {
+                    all.sends.push(send);
+                }
+            }
+        }
+        Ok(all)
     }
 }
 
 /// Instantiate and configure one shard over the shared core: condition
 /// handlers only on shard 0; exchange export + gather-view skip on every
 /// non-gather shard of a multi-shard, exchange-planned deployment. Shared
-/// by the serial driver (shards built inline) and the parallel driver
-/// (each worker builds its shard on its own thread — [`Transducer`] is
-/// deliberately not `Send`, its scan caches and UDF closures are
-/// thread-local by design).
+/// by both executors ([`Threads`] calls it on each worker's own thread —
+/// [`Transducer`] is deliberately not `Send`, its scan caches and UDF
+/// closures are thread-local by design).
 fn configure_shard(
     core: &Arc<ProgramCore>,
     index: usize,
@@ -334,7 +416,7 @@ fn configure_shard(
 }
 
 /// Merge per-shard states, `states[0]` being the global/gather shard (see
-/// [`ShardedTransducer::merged_state`]).
+/// [`ShardSet::merged_state`]).
 fn merge_states(mut states: Vec<State>) -> State {
     let mut state = states.remove(0);
     for s in states {
@@ -349,8 +431,8 @@ fn merge_states(mut states: Vec<State>) -> State {
 }
 
 /// Pooled scratch for [`merge_tick_outputs`]: the handler × shard bucket
-/// vectors and the handler-name index, owned by each sharded driver and
-/// reused across ticks. Buckets hold `u32` *indices* into the per-shard
+/// vectors and the handler-name index, owned by the driver and reused
+/// across ticks. Buckets hold `u32` *indices* into the per-shard
 /// outputs rather than borrows, so the scratch has no lifetime tie to any
 /// one tick and a steady-state merge allocates nothing (the serving loop
 /// merges once per micro-batch tick — this was the top per-tick
@@ -389,9 +471,8 @@ impl MergeScratch {
 }
 
 /// Deterministically merge per-shard tick outputs, `outs` in shard order
-/// (see the module docs). Shared by the serial and parallel drivers —
-/// bit-identical merging is the whole determinism story, so there is
-/// exactly one implementation.
+/// (see the module docs). Bit-identical merging is the whole determinism
+/// story, so both executors share this one implementation.
 fn merge_tick_outputs(
     core: &ProgramCore,
     outs: Vec<TickOutput>,
@@ -483,446 +564,349 @@ fn merge_tick_outputs(
     merged
 }
 
-impl ShardedTransducer {
+// ---- the inline executor -----------------------------------------------
+
+/// Every shard a [`Transducer`] on the calling thread, ticked in shard
+/// order; a tick stops at the first failing shard.
+pub struct Inline {
+    shards: Vec<Transducer>,
+}
+
+impl ShardExec for Inline {
+    fn build(core: &Arc<ProgramCore>, shards: usize, exchange: &ExchangeSpec) -> Self {
+        Inline {
+            shards: (0..shards)
+                .map(|i| configure_shard(core, i, shards, exchange))
+                .collect(),
+        }
+    }
+
+    fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn enqueue(
+        &mut self,
+        shard: usize,
+        id: u64,
+        mailbox: &str,
+        row: Row,
+    ) -> Result<(), TransducerError> {
+        self.shards[shard].enqueue_with_id(id, mailbox, row)
+    }
+
+    fn start_tick(&mut self) {}
+
+    fn tick_output(&mut self, shard: usize) -> Result<TickOutput, TransducerError> {
+        self.shards[shard].tick()
+    }
+
+    fn exchange_delta(&mut self, shard: usize) -> ExchangeDelta {
+        self.shards[shard].exchange_delta()
+    }
+
+    fn apply_exchange(&mut self, delta: ExchangeDelta) {
+        self.shards[0].apply_exchange_delta(delta);
+    }
+
+    fn pending_total(&self) -> usize {
+        self.shards.iter().map(Transducer::pending_total).sum()
+    }
+
+    fn states(&self) -> Vec<State> {
+        self.shards.iter().map(|s| s.state().clone()).collect()
+    }
+}
+
+impl ShardSet<Inline> {
+    /// Run `setup` once per shard — how UDF implementations are bound
+    /// (each shard gets its own instance, mirroring per-replica
+    /// registration in `hydro-deploy`).
+    pub fn register_udfs(&mut self, setup: impl Fn(&mut Transducer)) {
+        for s in &mut self.exec.shards {
+            setup(s);
+        }
+    }
+
+    /// Read access to one shard (between ticks).
+    pub fn shard(&self, i: usize) -> &Transducer {
+        &self.exec.shards[i]
+    }
+
+    /// Messages pending for a mailbox, summed across shards.
+    pub fn pending(&self, mailbox: &str) -> usize {
+        self.exec.shards.iter().map(|s| s.pending(mailbox)).sum()
+    }
+
     /// Read a scalar (scalars are global: shard 0 owns them).
     pub fn scalar(&self, name: &str) -> Option<&Value> {
-        self.shards[0].scalar(name)
+        self.exec.shards[0].scalar(name)
     }
 
     /// Read a table row by key, wherever its shard is.
     pub fn row(&self, table: &str, key: &[Value]) -> Option<&Row> {
-        self.shards.iter().find_map(|s| s.row(table, key))
+        self.exec.shards.iter().find_map(|s| s.row(table, key))
     }
 
     /// Total rows of a table across shards.
     pub fn table_len(&self, table: &str) -> usize {
-        self.shards.iter().map(|s| s.table_len(table)).sum()
-    }
-
-    /// Ticks executed so far (shards run in lockstep).
-    pub fn tick_no(&self) -> u64 {
-        self.shards[0].tick_no()
-    }
-
-    /// Convenience driver mirroring [`Transducer::run_to_quiescence`]:
-    /// repeatedly tick, re-routing any sends whose mailbox exists locally
-    /// through the partition router (the "cross-shard send → routed
-    /// re-enqueue" rewrite). External sends accumulate in the returned
-    /// output. Stops when quiescent or after `max_ticks`.
-    ///
-    /// Because [`Self::tick`] merges sends in exact single-node emission
-    /// order (via [`crate::interp::SendOut`] provenance), the re-enqueues
-    /// here assign the same message ids a single transducer's
-    /// `run_to_quiescence` would — cross-shard message cascades replay the
-    /// single-node interleaving exactly, not just as a multiset.
-    pub fn run_to_quiescence(&mut self, max_ticks: usize) -> Result<TickOutput, TransducerError> {
-        let mut all = TickOutput::default();
-        for _ in 0..max_ticks {
-            if self.pending_total() == 0 {
-                break;
-            }
-            let out = self.tick()?;
-            all.responses.extend(out.responses);
-            all.warnings.extend(out.warnings);
-            all.messages_processed += out.messages_processed;
-            for send in out.sends {
-                if self.core.has_mailbox(&send.mailbox) {
-                    self.enqueue(&send.mailbox, send.row)?;
-                } else {
-                    all.sends.push(send);
-                }
-            }
-        }
-        Ok(all)
+        self.exec.shards.iter().map(|s| s.table_len(table)).sum()
     }
 }
 
-// ---- the parallel driver -----------------------------------------------
+// ---- the thread executor -----------------------------------------------
 
 /// How the coordinator's UDF registration closure travels to every worker
 /// thread (each worker applies it to its own shard instance).
 type UdfSetup = Arc<dyn Fn(&mut Transducer) + Send + Sync>;
 
+/// A routed message under its coordinator-assigned global id.
+type Routed = (u64, String, Row);
+
 /// One instruction to a shard worker. Everything a worker does arrives
-/// through its inbox in FIFO order — that single queue *is* the ordering
-/// contract: enqueues precede the tick that consumes them, exchange
-/// deltas from tick `T` precede the tick `T+1` broadcast.
-#[derive(Clone)]
+/// through its inbox in FIFO order, and the coordinator is the inbox's
+/// only sender — that single queue *is* the ordering contract: exchange
+/// deltas from tick `T` precede the tick `T+1` command.
 enum WorkerCmd {
-    /// A routed message under its coordinator-assigned global id.
-    Enqueue { id: u64, mailbox: String, row: Row },
-    /// Run one tick and report a [`WorkerDone`].
-    Tick,
+    /// Enqueue the tick's messages, run one tick and report a
+    /// [`WorkerDone`].
+    Tick(Vec<Routed>),
     /// Fold another shard's exchange delta (gather shard only).
     ApplyExchange(ExchangeDelta),
-    /// Reply with `(shard index, state clone)` on the given channel.
-    Snapshot(channel::Sender<(usize, State)>),
+    /// Reply with a clone of this shard's state.
+    Snapshot,
     /// Apply the UDF registration closure to this shard.
     Udfs(UdfSetup),
-    /// Exit the worker loop.
-    Shutdown,
-}
-
-/// One instruction to the router thread, which owns the [`RoutingSpec`]
-/// and the per-shard inbox senders.
-enum RouterCmd {
-    /// Hash-route a message to its owning shard's inbox.
-    Route { id: u64, mailbox: String, row: Row },
-    /// Forward a command to one shard's inbox.
-    ToShard { shard: usize, cmd: WorkerCmd },
-    /// Clone a command into every shard's inbox.
-    Broadcast(WorkerCmd),
 }
 
 /// A worker's report after one tick.
 struct WorkerDone {
-    shard: usize,
     result: Result<TickOutput, TransducerError>,
     /// Messages left pending on this shard after the tick.
     pending: usize,
-    /// This shard's exchange export for the tick (empty off non-exchange
-    /// configurations and on the gather shard).
+    /// This shard's exchange export for the tick (empty on the gather
+    /// shard and off exchange-planned deployments).
     exchange: ExchangeDelta,
 }
 
-/// Per-shard inbox capacity. Bounded so a fast coordinator/router cannot
-/// run unboundedly ahead of a slow worker — `send` blocks, applying
-/// backpressure upstream.
-const INBOX_CAP: usize = 4096;
-
-/// [`ShardedTransducer`]'s semantics on worker threads: one OS thread per
-/// shard plus a router thread, communicating over bounded channels. See
-/// the module docs for the architecture and the determinism argument; the
-/// differential suite pins bit-identity against the serial driver and the
-/// single transducer, and `scripts/ci.sh` double-runs it as a race
-/// tripwire.
-///
-/// The API mirrors the serial driver where it can. The one structural
-/// difference: shards live on their worker threads ([`Transducer`] is not
-/// `Send`), so there is no `shard(i)` accessor — state inspection goes
-/// through [`ParallelShardedTransducer::merged_state`], which snapshots
-/// every worker over a reply channel.
-pub struct ParallelShardedTransducer {
-    core: Arc<ProgramCore>,
-    shards: usize,
-    next_msg_id: u64,
-    tick_no: u64,
-    router_tx: Option<channel::Sender<RouterCmd>>,
-    done_rx: channel::Receiver<WorkerDone>,
-    router: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    /// Pending-message count each shard reported after its last tick.
-    last_pending: Vec<usize>,
-    /// Messages routed since the last tick (they drain at the next one).
-    enqueued_since: usize,
-    merge_scratch: MergeScratch,
+/// One OS worker thread per shard, all sharing the one compiled
+/// `Arc<ProgramCore>`. Each worker builds its shard on its own thread
+/// ([`Transducer`] is not `Send`), serves its inbox, and answers on
+/// channels only it sends on, so a dead worker disconnects them; the
+/// coordinator then joins it and resumes its panic. The differential
+/// suite pins bit-identity against [`Inline`] and the single transducer,
+/// and `scripts/ci.sh` double-runs it as a race tripwire.
+pub struct Threads {
+    inboxes: Vec<channel::Sender<WorkerCmd>>,
+    done: Vec<channel::Receiver<WorkerDone>>,
+    snapshots: Vec<channel::Receiver<State>>,
+    workers: Vec<Mutex<Option<JoinHandle<()>>>>,
+    /// Each shard's messages for the next tick. They travel with its tick
+    /// command: one hand-off per shard per tick, not one per message.
+    outbox: Vec<Vec<Routed>>,
+    /// Each shard's exchange export from its last tick report.
+    exchange: Vec<ExchangeDelta>,
+    /// Messages the workers reported pending after the last tick, plus
+    /// those in the outbox.
+    pending: usize,
 }
 
-impl ParallelShardedTransducer {
-    /// Compile `program` once and spawn `shards` worker threads plus the
-    /// router. Shard 0 is the global/gather shard.
-    pub fn new(
-        program: crate::ast::Program,
-        routing: RoutingSpec,
-        shards: usize,
-    ) -> Result<Self, TransducerError> {
-        Ok(Self::from_core(ProgramCore::new(program)?, routing, shards))
-    }
-
-    /// Spawn over an already-compiled core. Each worker constructs its
-    /// shard *on its own thread* (the instance never crosses threads) via
-    /// the same [`configure_shard`] the serial driver uses.
-    pub fn from_core(core: Arc<ProgramCore>, routing: RoutingSpec, shards: usize) -> Self {
-        assert!(shards >= 1, "a sharded transducer needs at least one shard");
-        let (done_tx, done_rx) = channel::unbounded();
-        let mut inboxes = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
+impl ShardExec for Threads {
+    fn build(core: &Arc<ProgramCore>, shards: usize, exchange: &ExchangeSpec) -> Self {
+        let mut threads = Threads {
+            inboxes: Vec::with_capacity(shards),
+            done: Vec::with_capacity(shards),
+            snapshots: Vec::with_capacity(shards),
+            workers: Vec::with_capacity(shards),
+            outbox: vec![Vec::new(); shards],
+            exchange: vec![ExchangeDelta::new(); shards],
+            pending: 0,
+        };
         for i in 0..shards {
-            let (tx, rx) = channel::bounded(INBOX_CAP);
-            inboxes.push(tx);
-            let core = Arc::clone(&core);
-            let done_tx = done_tx.clone();
-            let exchange = routing.exchange.clone();
+            let (inbox_tx, inbox) = channel::unbounded();
+            let (done, done_rx) = channel::unbounded();
+            let (snapshots, snapshot_rx) = channel::unbounded();
+            let core = Arc::clone(core);
+            let exchange = exchange.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("hydro-shard-{i}"))
-                .spawn(move || worker_loop(core, i, shards, exchange, rx, done_tx))
+                .spawn(move || {
+                    let mut t = configure_shard(&core, i, shards, &exchange);
+                    worker_loop(&mut t, i, inbox, done, snapshots);
+                })
                 .expect("spawn shard worker thread");
-            workers.push(handle);
+            threads.inboxes.push(inbox_tx);
+            threads.done.push(done_rx);
+            threads.snapshots.push(snapshot_rx);
+            threads.workers.push(Mutex::new(Some(handle)));
         }
-        let (router_tx, router_rx) = channel::bounded::<RouterCmd>(INBOX_CAP);
-        let router = std::thread::Builder::new()
-            .name("hydro-router".into())
-            .spawn(move || router_loop(router_rx, inboxes, routing, shards))
-            .expect("spawn shard router thread");
-        ParallelShardedTransducer {
-            core,
-            shards,
-            next_msg_id: 1,
-            tick_no: 0,
-            router_tx: Some(router_tx),
-            done_rx,
-            router: Some(router),
-            workers,
-            last_pending: vec![0; shards],
-            enqueued_since: 0,
-            merge_scratch: MergeScratch::default(),
+        threads
+    }
+
+    fn shard_count(&self) -> usize {
+        self.inboxes.len()
+    }
+
+    fn enqueue(
+        &mut self,
+        shard: usize,
+        id: u64,
+        mailbox: &str,
+        row: Row,
+    ) -> Result<(), TransducerError> {
+        self.pending += 1;
+        self.outbox[shard].push((id, mailbox.to_string(), row));
+        Ok(())
+    }
+
+    fn start_tick(&mut self) {
+        self.pending = 0;
+        for i in 0..self.inboxes.len() {
+            let messages = std::mem::take(&mut self.outbox[i]);
+            self.send(i, WorkerCmd::Tick(messages));
         }
     }
 
-    /// Broadcast the UDF registration closure; every worker applies it to
-    /// its own shard instance (mirroring the serial driver's
-    /// [`ShardedTransducer::register_udfs`], with the `Send + Sync`
-    /// bounds crossing threads requires).
-    pub fn register_udfs(&mut self, setup: impl Fn(&mut Transducer) + Send + Sync + 'static) {
-        self.send_router(RouterCmd::Broadcast(WorkerCmd::Udfs(Arc::new(setup))));
+    fn tick_output(&mut self, shard: usize) -> Result<TickOutput, TransducerError> {
+        let done = self.recv(&self.done, shard);
+        self.pending += done.pending;
+        self.exchange[shard] = done.exchange;
+        done.result
     }
 
-    /// Number of shards (= worker threads).
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// The shared compiled core.
-    pub fn core(&self) -> &Arc<ProgramCore> {
-        &self.core
-    }
-
-    /// Enqueue a message: assign the globally sequential id here (ids are
-    /// the merge key, the coordinator must own them) and hand the routing
-    /// decision to the router thread.
-    pub fn enqueue(&mut self, mailbox: &str, row: Row) -> Result<u64, TransducerError> {
-        self.core.admit(mailbox, &row)?;
-        let id = self.next_msg_id;
-        self.next_msg_id += 1;
-        self.enqueued_since += 1;
-        self.send_router(RouterCmd::Route {
-            id,
-            mailbox: mailbox.to_string(),
-            row,
-        });
-        Ok(id)
-    }
-
-    /// Enqueue, panicking on unknown mailbox — for tests and examples.
-    pub fn enqueue_ok(&mut self, mailbox: &str, row: Row) -> u64 {
-        self.enqueue(mailbox, row).expect("known mailbox")
-    }
-
-    /// Total messages pending across all shards: what the workers
-    /// reported after their last tick, plus everything routed since
-    /// (inbox FIFO guarantees those are consumed by the next tick).
-    pub fn pending_total(&self) -> usize {
-        self.last_pending.iter().sum::<usize>() + self.enqueued_since
-    }
-
-    /// Ticks executed so far (shards run in lockstep).
-    pub fn tick_no(&self) -> u64 {
-        self.tick_no
-    }
-
-    /// Execute one tick on every shard *concurrently* and merge the
-    /// outputs deterministically: broadcast `Tick`, collect one
-    /// [`WorkerDone`] per shard in whatever order threads finish, bucket
-    /// by shard index, then run the same merge as the serial driver —
-    /// completion order never reaches an observable output. Exchange
-    /// deltas are forwarded to the gather shard after all workers report
-    /// (the tick barrier); per-inbox FIFO applies them before the next
-    /// tick. On evaluation errors the lowest-numbered failing shard's
-    /// error is returned, matching the serial driver's first-error
-    /// semantics.
-    pub fn tick(&mut self) -> Result<TickOutput, TransducerError> {
-        self.tick_no += 1;
-        self.enqueued_since = 0;
-        self.send_router(RouterCmd::Broadcast(WorkerCmd::Tick));
-        let mut outs: Vec<Option<TickOutput>> = (0..self.shards).map(|_| None).collect();
-        let mut exchanges: Vec<ExchangeDelta> = vec![ExchangeDelta::new(); self.shards];
-        let mut first_err: Option<(usize, TransducerError)> = None;
-        for _ in 0..self.shards {
-            let done = self
-                .done_rx
-                .recv()
-                .unwrap_or_else(|_| panic!("shard worker disconnected mid-tick"));
-            self.last_pending[done.shard] = done.pending;
-            exchanges[done.shard] = done.exchange;
-            match done.result {
-                Ok(out) => outs[done.shard] = Some(out),
-                Err(e) => {
-                    if first_err.as_ref().is_none_or(|(s, _)| done.shard < *s) {
-                        first_err = Some((done.shard, e));
-                    }
-                }
-            }
+    /// The later workers ticked anyway: read their reports, so the next
+    /// tick reads its own.
+    fn abandon_tick(&mut self, from: usize) {
+        for i in from..self.inboxes.len() {
+            let _ = self.tick_output(i);
         }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        for delta in exchanges.into_iter().skip(1) {
-            if !delta.is_empty() {
-                self.send_router(RouterCmd::ToShard {
-                    shard: 0,
-                    cmd: WorkerCmd::ApplyExchange(delta),
-                });
-            }
-        }
-        let outs: Vec<TickOutput> = outs
-            .into_iter()
-            .map(|o| o.expect("every shard reported exactly once"))
-            .collect();
-        Ok(merge_tick_outputs(&self.core, outs, &mut self.merge_scratch))
     }
 
-    /// Snapshot and merge every shard's state (see
-    /// [`ShardedTransducer::merged_state`] for the merge rule). Workers
-    /// reply with clones over a bounded channel; per-inbox FIFO means the
-    /// snapshot reflects everything sent before this call.
-    pub fn merged_state(&self) -> State {
-        let (tx, rx) = channel::bounded::<(usize, State)>(self.shards);
-        self.send_router(RouterCmd::Broadcast(WorkerCmd::Snapshot(tx)));
-        let mut states: Vec<Option<State>> = (0..self.shards).map(|_| None).collect();
-        for _ in 0..self.shards {
-            let (i, s) = rx.recv().expect("shard worker disconnected mid-snapshot");
-            states[i] = Some(s);
+    fn exchange_delta(&mut self, shard: usize) -> ExchangeDelta {
+        std::mem::take(&mut self.exchange[shard])
+    }
+
+    fn apply_exchange(&mut self, delta: ExchangeDelta) {
+        self.send(0, WorkerCmd::ApplyExchange(delta));
+    }
+
+    fn pending_total(&self) -> usize {
+        self.pending
+    }
+
+    /// Ask every worker first, so they clone concurrently; read the
+    /// replies in shard order.
+    fn states(&self) -> Vec<State> {
+        for i in 0..self.inboxes.len() {
+            self.send(i, WorkerCmd::Snapshot);
         }
-        merge_states(
-            states
-                .into_iter()
-                .map(|s| s.expect("every shard replied"))
-                .collect(),
-        )
+        (0..self.inboxes.len())
+            .map(|i| self.recv(&self.snapshots, i))
+            .collect()
     }
+}
 
-    /// Read a scalar through a snapshot (scalars are global: shard 0 owns
-    /// them). For between-tick inspection; costs a state clone.
-    pub fn scalar(&self, name: &str) -> Option<Value> {
-        let (tx, rx) = channel::bounded::<(usize, State)>(1);
-        self.send_router(RouterCmd::ToShard {
-            shard: 0,
-            cmd: WorkerCmd::Snapshot(tx),
-        });
-        let (_, s) = rx.recv().expect("shard worker disconnected mid-snapshot");
-        s.scalars.get(name).cloned()
-    }
-
-    /// Convenience driver mirroring
-    /// [`ShardedTransducer::run_to_quiescence`]: repeatedly tick,
-    /// re-routing sends whose mailbox exists locally; external sends
-    /// accumulate in the returned output.
-    pub fn run_to_quiescence(&mut self, max_ticks: usize) -> Result<TickOutput, TransducerError> {
-        let mut all = TickOutput::default();
-        for _ in 0..max_ticks {
-            if self.pending_total() == 0 {
-                break;
-            }
-            let out = self.tick()?;
-            all.responses.extend(out.responses);
-            all.warnings.extend(out.warnings);
-            all.messages_processed += out.messages_processed;
-            for send in out.sends {
-                if self.core.has_mailbox(&send.mailbox) {
-                    self.enqueue(&send.mailbox, send.row)?;
-                } else {
-                    all.sends.push(send);
-                }
-            }
+impl Threads {
+    fn send(&self, shard: usize, cmd: WorkerCmd) {
+        if self.inboxes[shard].send(cmd).is_err() {
+            self.dead(shard);
         }
-        Ok(all)
     }
 
-    fn send_router(&self, cmd: RouterCmd) {
-        let tx = self.router_tx.as_ref().expect("router alive until drop");
-        if tx.send(cmd).is_err() {
-            panic!("shard router disconnected");
+    fn recv<T>(&self, from: &[channel::Receiver<T>], shard: usize) -> T {
+        from[shard].recv().unwrap_or_else(|_| self.dead(shard))
+    }
+
+    /// `shard`'s worker has exited: a channel only it held disconnected.
+    /// Join it and continue its panic on the caller's thread — the
+    /// failure [`Inline`] gives for the same UDF.
+    fn dead(&self, shard: usize) -> ! {
+        let worker = self.workers[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        match worker.map(JoinHandle::join) {
+            Some(Err(panic)) => std::panic::resume_unwind(panic),
+            _ => panic!("shard worker {shard} exited"),
         }
     }
 }
 
-impl Drop for ParallelShardedTransducer {
-    /// Orderly teardown: ask every worker to exit, close the router
-    /// channel, join all threads. Workers also exit if their inbox
-    /// disconnects, so a panicking coordinator still unwinds cleanly.
+impl Drop for Threads {
+    /// Closing every channel ends each worker's loop once it has drained
+    /// its inbox; a worker that died earlier was joined already.
     fn drop(&mut self) {
-        if let Some(tx) = self.router_tx.take() {
-            let _ = tx.send(RouterCmd::Broadcast(WorkerCmd::Shutdown));
-            drop(tx);
-        }
-        if let Some(r) = self.router.take() {
-            let _ = r.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-/// The router thread: owns the routing spec and every shard's inbox
-/// sender. Sequential, so commands fan out to inboxes in exactly the
-/// order the coordinator issued them — the FIFO ordering contract rests
-/// here. Exits when the coordinator drops its sender; dropping the
-/// inboxes then releases the workers.
-fn router_loop(
-    rx: channel::Receiver<RouterCmd>,
-    inboxes: Vec<channel::Sender<WorkerCmd>>,
-    routing: RoutingSpec,
-    shards: usize,
-) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            RouterCmd::Route { id, mailbox, row } => {
-                let shard = routing.shard_of(&mailbox, &row, shards);
-                let _ = inboxes[shard].send(WorkerCmd::Enqueue { id, mailbox, row });
-            }
-            RouterCmd::ToShard { shard, cmd } => {
-                let _ = inboxes[shard].send(cmd);
-            }
-            RouterCmd::Broadcast(cmd) => {
-                for tx in &inboxes {
-                    let _ = tx.send(cmd.clone());
-                }
+        self.inboxes.clear();
+        self.done.clear();
+        self.snapshots.clear();
+        for worker in &mut self.workers {
+            let worker = worker.get_mut().unwrap_or_else(PoisonError::into_inner);
+            if let Some(handle) = worker.take() {
+                let _ = handle.join();
             }
         }
     }
 }
 
-/// One shard's worker thread: build the shard here (it never crosses
-/// threads), then serve inbox commands until shutdown or disconnect.
+impl ShardSet<Threads> {
+    /// Send the UDF registration closure to every worker, which applies
+    /// it to its own shard instance (the `Send + Sync` bounds are what
+    /// crossing threads requires).
+    pub fn register_udfs(&mut self, setup: impl Fn(&mut Transducer) + Send + Sync + 'static) {
+        let setup: UdfSetup = Arc::new(setup);
+        for i in 0..self.exec.inboxes.len() {
+            self.exec.send(i, WorkerCmd::Udfs(Arc::clone(&setup)));
+        }
+    }
+
+    /// Read a scalar through a snapshot of shard 0, which owns the
+    /// scalars. For between-tick inspection; costs a state clone.
+    pub fn scalar(&self, name: &str) -> Option<Value> {
+        self.exec.send(0, WorkerCmd::Snapshot);
+        let mut state = self.exec.recv(&self.exec.snapshots, 0);
+        state.scalars.remove(name)
+    }
+}
+
+/// One shard's worker: serve inbox commands until the coordinator closes
+/// the inbox or stops listening.
 fn worker_loop(
-    core: Arc<ProgramCore>,
+    t: &mut Transducer,
     shard: usize,
-    shards: usize,
-    exchange: ExchangeSpec,
-    rx: channel::Receiver<WorkerCmd>,
-    done_tx: channel::Sender<WorkerDone>,
+    inbox: channel::Receiver<WorkerCmd>,
+    done: channel::Sender<WorkerDone>,
+    snapshots: channel::Sender<State>,
 ) {
-    let mut t = configure_shard(&core, shard, shards, &exchange);
-    while let Ok(cmd) = rx.recv() {
+    while let Ok(cmd) = inbox.recv() {
         match cmd {
-            WorkerCmd::Enqueue { id, mailbox, row } => {
-                // The coordinator validated the mailbox against the core.
-                let _ = t.enqueue_with_id(id, &mailbox, row);
-            }
-            WorkerCmd::Tick => {
+            WorkerCmd::Tick(messages) => {
+                for (id, mailbox, row) in messages {
+                    // The coordinator validated the row against the core.
+                    let _ = t.enqueue_with_id(id, &mailbox, row);
+                }
                 let result = t.tick();
                 let exchange = if shard > 0 {
                     t.exchange_delta()
                 } else {
                     ExchangeDelta::new()
                 };
-                let done = WorkerDone {
-                    shard,
+                let pending = t.pending_total();
+                let report = WorkerDone {
                     result,
-                    pending: t.pending_total(),
+                    pending,
                     exchange,
                 };
-                if done_tx.send(done).is_err() {
-                    break; // coordinator gone
+                if done.send(report).is_err() {
+                    break;
                 }
             }
             WorkerCmd::ApplyExchange(delta) => t.apply_exchange_delta(delta),
-            WorkerCmd::Snapshot(reply) => {
-                let _ = reply.send((shard, t.state().clone()));
+            WorkerCmd::Snapshot => {
+                if snapshots.send(t.state().clone()).is_err() {
+                    break;
+                }
             }
-            WorkerCmd::Udfs(setup) => setup(&mut t),
-            WorkerCmd::Shutdown => break,
+            WorkerCmd::Udfs(setup) => setup(t),
         }
     }
 }

@@ -73,7 +73,7 @@ use crate::node::{
     INGRESS_TIMER, REPL_TIMER, TICK_TIMER,
 };
 use hydro_analysis::classify;
-use hydro_analysis::partition::{partition, partition_with, ExchangePolicy, PartitionReport};
+use hydro_analysis::partition::{partition_with, ExchangePolicy, PartitionReport};
 use hydro_core::ast::Program;
 use hydro_core::eval::Row;
 use hydro_core::facets::ConsistencyLevel;
@@ -395,8 +395,9 @@ pub fn deploy_sharded(
     // Demote-only plan: delta exchange needs a tick barrier across shards
     // (ship after every shard's tick T, before any shard's T+1), and the
     // simulated cluster ticks nodes on independent timers — there is no
-    // barrier to ship at. The in-process drivers ([`deploy_parallel`])
-    // take the exchange-enabled plan instead.
+    // barrier to ship at. The in-process drivers
+    // (`hydro_analysis::partition::{sharded, parallel_sharded}`) take the
+    // exchange-enabled plan instead.
     let report = partition_with(program, ExchangePolicy::Demote);
     let routing = report.routing();
     let register_udfs: Rc<dyn Fn(&mut Transducer)> = Rc::new(register_udfs);
@@ -633,27 +634,6 @@ impl ShardedDeployment {
         }
         all
     }
-}
-
-/// Build and start an **in-process parallel** deployment of `program`:
-/// one worker thread per shard driving the analysis-lowered routing spec
-/// with delta exchange enabled. This is the single-machine scale-*up*
-/// counterpart to [`deploy_sharded`]'s simulated scale-*out* cluster — the
-/// worker threads tick in lockstep behind a barrier, so `NeedsExchange`
-/// views classified exchange-admissible execute partitioned (the sim
-/// deployment must demote them instead; see [`deploy_sharded`]). Enqueue
-/// work with [`hydro_core::shard::ParallelShardedTransducer::enqueue`] and
-/// drive ticks explicitly.
-pub fn deploy_parallel(
-    program: &Program,
-    shard_count: usize,
-    register_udfs: impl Fn(&mut Transducer) + Send + Sync + 'static,
-) -> Result<hydro_core::shard::ParallelShardedTransducer, hydro_core::interp::TransducerError> {
-    let routing = partition(program).routing();
-    let mut t =
-        hydro_core::shard::ParallelShardedTransducer::new(program.clone(), routing, shard_count)?;
-    t.register_udfs(register_udfs);
-    Ok(t)
 }
 
 #[cfg(test)]

@@ -35,9 +35,7 @@ pub mod node;
 pub mod twopc;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport};
-pub use deployment::{
-    deploy, deploy_parallel, deploy_sharded, DeployConfig, Deployment, ShardedDeployment,
-};
+pub use deployment::{deploy, deploy_sharded, DeployConfig, Deployment, ShardedDeployment};
 pub use node::{
     BackupNode, IngressCfg, NetMsg, ProxyNode, RetryCfg, RouterNode, RouterStatus,
     RouterStatusInner, SequencerNode, TransducerNode,

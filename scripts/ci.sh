@@ -98,12 +98,16 @@ echo "== serving-layer differential suites =="
 # divergence is unmissable in CI output: the loop-vs-replay differential
 # over the serial and parallel drivers at N∈{1,2,4}, the batch-split
 # invariance proptest for the serialized single-entry shape, and the
-# router-side bounded-ingress backpressure contract.
+# router-side bounded-ingress backpressure contract. Then the sharded
+# driver's own suite: a panicking UDF fails a tick alike on inline and
+# worker-thread shards (a watchdog turns a hang into a failure), and
+# `run_to_quiescence` replays a cross-shard cascade like one node.
 cargo test -q -p hydro-analysis --test serve_batching -- \
   serving_loop_matches_batch_replay \
   batch_splits_invisible_to_serialized_program \
   backpressure_rejects_at_queue_cap_with_distinct_counter
 cargo test -q -p hydro-deploy --test ingress_backpressure
+cargo test -q -p hydro --test shard_drivers
 
 echo
 echo "== parallel-driver determinism tripwire =="
